@@ -34,6 +34,15 @@ void write_stream(util::ByteWriter& w, const huffman::StreamEncoding& s) {
   w.array<std::uint32_t>(s.units);
 }
 
+/// Every codeword is at least one bit (the degenerate one-symbol alphabet
+/// emits 1-bit codes too), so a stream of `total_bits` holds at most that
+/// many symbols. Checked before any decoder sizes its output from the count.
+void check_symbols_fit(std::uint64_t num_symbols, std::uint64_t total_bits) {
+  if (num_symbols > total_bits) {
+    throw std::invalid_argument("symbol count exceeds the stream's bits");
+  }
+}
+
 huffman::StreamEncoding read_stream(util::ByteReader& r) {
   huffman::StreamEncoding s;
   s.total_bits = r.u64();
@@ -43,6 +52,7 @@ huffman::StreamEncoding read_stream(util::ByteReader& r) {
   if (s.total_bits > s.units.size() * 32ull) {
     throw std::invalid_argument("total_bits exceeds unit payload");
   }
+  check_symbols_fit(s.num_symbols, s.total_bits);
   return s;
 }
 
@@ -129,6 +139,10 @@ EncodedStream deserialize_stream(std::span<const std::uint8_t> bytes,
       if (chunked.num_symbols != enc.num_symbols) {
         throw std::invalid_argument("symbol count mismatch");
       }
+      if (chunked.total_bits > chunked.units.size() * 32ull) {
+        throw std::invalid_argument("total_bits exceeds unit payload");
+      }
+      check_symbols_fit(chunked.num_symbols, chunked.total_bits);
       enc.payload = std::move(chunked);
       break;
     }

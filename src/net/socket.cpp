@@ -132,10 +132,14 @@ Socket Listener::accept() {
   }
 }
 
-void Listener::close() {
-  // shutdown() first: closing an fd another thread is blocked in accept() on
-  // does not reliably wake it; shutdown does (accept fails with EINVAL).
+void Listener::shutdown() {
+  // Closing an fd another thread is blocked in accept() on does not reliably
+  // wake it; shutdown does (accept fails with EINVAL).
   sock_.shutdown_both();
+}
+
+void Listener::close() {
+  shutdown();
   sock_.close();
   if (unlink_on_close_) {
     (void)::unlink(endpoint_.unix_path.c_str());

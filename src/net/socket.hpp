@@ -89,11 +89,17 @@ class Listener {
 
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Blocks for the next connection. Returns an invalid Socket once close()
-  /// has been called (from any thread) — the acceptor loop's exit signal.
+  /// Blocks for the next connection. Returns an invalid Socket once
+  /// shutdown() has been called (from any thread) — the acceptor loop's exit
+  /// signal.
   Socket accept();
 
-  /// Wakes any blocked accept() and closes the listening socket. Idempotent.
+  /// Wakes any blocked accept() and fails every later one, without touching
+  /// the descriptor itself — safe while another thread is in accept().
+  void shutdown();
+
+  /// Closes the listening socket. Idempotent. Writes the descriptor, so it
+  /// must not race an accept(): call shutdown() and join the acceptor first.
   void close();
 
  private:

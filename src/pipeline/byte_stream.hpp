@@ -148,17 +148,13 @@ class ByteSource {
 };
 
 /// Sink over an owned, growing vector — the in-memory convenience path
-/// (Container::serialize builds on it).
+/// (BatchScheduler::compress builds on it).
 class MemorySink : public ByteSink {
  public:
   void write(std::span<const std::uint8_t> bytes) override {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
   std::uint64_t position() const override { return buf_.size(); }
-
-  /// Preallocates when the final archive size is known up front
-  /// (Container::serialized_size()).
-  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -95,10 +95,10 @@ SalvageResult salvage_scan(const ByteSource& source, const RetryPolicy& retry) {
 
   const auto head = read_range(source, retry, 0, wire::kHeaderBytes);
   std::uint8_t flags = 0;
-  if (std::memcmp(head.data(), wire::kMagic, 4) == 0 && head[4] == 3 &&
-      head[6] == 0 && head[7] == 0) {
+  if (std::memcmp(head.data(), wire::kMagic, 4) == 0 &&
+      head[4] == kContainerVersion && head[6] == 0 && head[7] == 0) {
     try {
-      flags = wire::check_archive_flags(head[4], head[5]);
+      flags = wire::check_archive_flags(head[5]);
       rep.header_valid = true;
     } catch (const ContainerError&) {
     }

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "pipeline/byte_stream.hpp"
-#include "pipeline/container.hpp"
+#include "pipeline/archive_index.hpp"
 
 namespace ohd::pipeline {
 

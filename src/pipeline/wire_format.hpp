@@ -1,24 +1,40 @@
-// Shared wire code of the "OHDC" archive family: one writer/parser for the
-// per-field index sections used by all three container versions, plus the
-// version-3 footer. Keeping this in one place is what stops the in-memory
-// Container (v1/v2 head-indexed images, v3 via the writer) and the streaming
-// ArchiveWriter/ArchiveReader sessions (v3 footer-indexed files) from
-// drifting apart — they serialize and validate the exact same field/chunk
-// records.
+// Wire code of the "OHDC" archive: one writer/parser for the archive head,
+// the per-field index sections, the footer and the recovery preambles, shared
+// by ArchiveWriter, ArchiveReader and the salvage scan so they serialize and
+// validate the exact same field/chunk records. Versions 1 and 2 (head-indexed
+// whole-buffer images) are no longer read or written.
 //
 // Version 3 byte layout (all integers little-endian):
 //
 //   offset        size  field
 //   0             4     magic "OHDC"
 //   4             1     version (= 3)
-//   5             1     flags (= 0, reserved)
+//   5             1     flags (bit 0: recovery preambles; others 0)
 //   6             2     reserved (= 0)
 //   8             n     payload: concatenated chunk frames, appended in
 //                       (field, chunk) order as they are produced; chunk
 //                       records address it with offsets relative to byte 8
 //   8+n           i     index: u32 field count, then one field section per
-//                       field — identical bytes to the v2 field sections
-//                       (see write_field_entry)
+//                       field:
+//                         8+n  name (u64 length + bytes)
+//                         4    rank (u32, 1..3)
+//                         24   extent[3] (u64 x, y, z; unused extents = 1)
+//                         8    absolute error bound (f64, > 0)
+//                         4    quantizer radius (u32, > 0)
+//                         1    method tag (u8, core::Method; field default)
+//                         8+n  shared codebook (u64 byte length +
+//                              Codebook::serialize bytes; 0 = none)
+//                         [4]  CRC-32 of the codebook bytes (iff length > 0)
+//                         8    chunk count (u64, >= 1)
+//                         then kChunkRecordBytes per chunk:
+//                           8   payload offset (u64, relative to byte 8)
+//                           8   payload length (u64, > 0)
+//                           8   element offset (u64, flat element order)
+//                           28  dims (u32 rank + 3 x u64 extent)
+//                           1   method tag (u8)
+//                           1   codebook ref (u8: 0 = private book in the
+//                               frame, 1 = the field's shared codebook)
+//                           4   CRC-32 of the frame bytes (u32)
 //   8+n+i         40    footer:
 //                         u64 index offset (= 8 + n)
 //                         u64 index bytes  (= i)
@@ -68,7 +84,7 @@
 #include <cstdint>
 #include <span>
 
-#include "pipeline/container.hpp"
+#include "pipeline/archive_index.hpp"
 #include "util/bytes.hpp"
 
 namespace ohd::pipeline::wire {
@@ -90,11 +106,9 @@ inline constexpr std::uint64_t kChunkPreambleBytes = 66;
 /// field in a damaged archive cannot drive a huge read during salvage.
 inline constexpr std::uint32_t kMaxFieldPreambleRecordBytes = 1u << 20;
 
-// Fixed wire sizes of one chunk record per container version, used to bound
-// untrusted chunk counts before looping. Version 2 added the codebook-ref
-// byte; version 3 keeps the v2 record.
-inline constexpr std::uint64_t kChunkRecordBytesV1 = 8 + 8 + 8 + 4 + 24 + 1 + 4;
-inline constexpr std::uint64_t kChunkRecordBytesV2 = kChunkRecordBytesV1 + 1;
+/// Fixed wire size of one chunk record, used to bound untrusted chunk counts
+/// before looping.
+inline constexpr std::uint64_t kChunkRecordBytes = 8 + 8 + 8 + 4 + 24 + 1 + 1 + 4;
 
 core::Method parse_method_tag(std::uint8_t tag);
 CodebookRef parse_codebook_ref(std::uint8_t tag);
@@ -102,44 +116,36 @@ CodebookRef parse_codebook_ref(std::uint8_t tag);
 void write_dims(util::ByteWriter& w, const sz::Dims& dims);
 sz::Dims read_dims(util::ByteReader& r);
 
-/// Chunk extents must tile the field contiguously in flat element order.
-void check_coverage(const sz::Dims& field_dims,
-                    std::span<const ChunkExtent> layout);
+/// The 8-byte archive head: magic, version (kContainerVersion), flags,
+/// reserved.
+void write_archive_header(util::ByteWriter& w, std::uint8_t flags);
 
-/// The 8-byte archive head shared by every version: magic, version, flags,
-/// reserved. Flags are only meaningful for version 3.
-void write_archive_header(util::ByteWriter& w, std::uint8_t version,
-                          std::uint8_t flags = 0);
+/// Validates the flags byte of a parsed head: unknown bits are a format
+/// error.
+std::uint8_t check_archive_flags(std::uint8_t flags);
 
-/// Validates the flags byte of a parsed v3 head: unknown bits are a format
-/// error (older versions must carry 0).
-std::uint8_t check_archive_flags(std::uint8_t version, std::uint8_t flags);
-
-/// Exact serialized size of one field's index section for `version`.
-std::uint64_t field_entry_bytes(const FieldEntry& f, std::uint8_t version);
+/// Exact serialized size of one field's index section.
+std::uint64_t field_entry_bytes(const FieldEntry& f);
 
 /// One field's index section: name, geometry, error bound, radius, default
-/// method, the shared-codebook record (+CRC, version >= 2 only), chunk count,
-/// chunk records. Identical bytes for versions 2 and 3.
-void write_field_entry(util::ByteWriter& w, const FieldEntry& f,
-                       std::uint8_t version);
+/// method, the shared-codebook record (+CRC), chunk count, chunk records.
+void write_field_entry(util::ByteWriter& w, const FieldEntry& f);
 
 /// Parses and validates one field's index section: plausible geometry,
 /// positive error bound and radius, known method/codebook-ref tags, shared
 /// codebook CRC + parse, contiguous chunk coverage. Frame byte ranges are
 /// validated by the caller, who knows the payload extent.
-FieldEntry read_field_entry(util::ByteReader& r, std::uint8_t version);
+FieldEntry read_field_entry(util::ByteReader& r);
 
 /// The field-header prefix of a field entry (everything before the chunk
 /// records): name, geometry, error bound, radius, default method, shared
 /// codebook. Shared verbatim by the index sections and the field preambles,
 /// so a salvaged field parses with the exact same validation as an indexed
 /// one.
-void write_field_header(util::ByteWriter& w, const FieldEntry& f,
-                        std::uint8_t version);
+void write_field_header(util::ByteWriter& w, const FieldEntry& f);
 
 /// Parses a field header; the returned entry has an empty chunk list.
-FieldEntry read_field_header(util::ByteReader& r, std::uint8_t version);
+FieldEntry read_field_header(util::ByteReader& r);
 
 /// One chunk's recovery preamble: enough to re-derive its index record (bar
 /// the payload offset, which the scanner knows from where it found it).
@@ -180,7 +186,8 @@ bool try_parse_field_preamble(std::span<const std::uint8_t> bytes,
                               FieldPreamble& out, std::uint64_t& consumed);
 
 /// Checksum + parse + geometry validation of one chunk's frame bytes — the
-/// single decode gate shared by Container and ArchiveReader.
+/// single decode gate of ArchiveReader and the batch scheduler's prefetching
+/// range decode.
 sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
                                      std::span<const std::uint8_t> frame);
 
@@ -194,12 +201,12 @@ struct Footer {
 
 void write_footer(util::ByteWriter& w, const Footer& footer);
 
-/// Parses the trailing kFooterBytes of a v3 archive and validates its
+/// Parses the trailing kFooterBytes of an archive and validates its
 /// internal consistency against `archive_bytes` (the total archive size).
 Footer read_footer(std::span<const std::uint8_t> tail,
                    std::uint64_t archive_bytes);
 
-/// Parses and validates a v3 index section (field count + field entries +
+/// Parses and validates an index section (field count + field entries +
 /// per-chunk payload bounds against `payload_bytes`). `crc32` is the
 /// footer's index checksum, verified first.
 std::vector<FieldEntry> read_index(std::span<const std::uint8_t> index,

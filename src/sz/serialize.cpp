@@ -66,6 +66,11 @@ CompressedBlob deserialize_blob(std::span<const std::uint8_t> bytes,
   if (n_outliers > blob.dims.count()) {
     throw std::invalid_argument("more outliers than elements");
   }
+  // Bound by the bytes actually present before reserving: a short header
+  // must not be able to ask for an allocation its payload cannot fill.
+  if (n_outliers > r.remaining() / kOutlierEntryBytes) {
+    throw std::invalid_argument("outlier count exceeds blob size");
+  }
   blob.outliers.reserve(n_outliers);
   std::uint64_t prev_index = 0;
   for (std::uint64_t i = 0; i < n_outliers; ++i) {

@@ -39,7 +39,7 @@ public:
   std::span<const std::uint8_t> bytes() const { return bytes_; }
 
   /// Preallocates for a writer whose final size is known up front (e.g.
-  /// Container::serialized_size()), so the append path never reallocates.
+  /// an archive's index + footer), so the append path never reallocates.
   void reserve(std::size_t n) { bytes_.reserve(n); }
 
 private:

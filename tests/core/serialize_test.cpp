@@ -83,6 +83,31 @@ TEST_P(StreamSerialization, TamperedSymbolCountThrows) {
       << method_name(GetParam());
 }
 
+/// A consistent but hostile symbol count: header and payload both claim 2^33
+/// symbols over a few hundred bytes of codewords. Every codeword is at least
+/// one bit, so the parse must reject the count before any decoder sizes an
+/// output buffer from it.
+TEST_P(StreamSerialization, SymbolCountBeyondStreamBitsThrows) {
+  const std::uint64_t huge = std::uint64_t{1} << 33;
+  auto enc = encode_for_method(GetParam(), quant_like(600, 23), 1024);
+  enc.num_symbols = huge;
+  if (auto* chunked = std::get_if<huffman::ChunkedEncoding>(&enc.payload)) {
+    chunked->num_symbols = huge;
+  } else if (auto* plain = std::get_if<huffman::StreamEncoding>(&enc.payload)) {
+    plain->num_symbols = huge;
+  } else {
+    std::get<huffman::GapEncoding>(enc.payload).stream.num_symbols = huge;
+  }
+  try {
+    (void)deserialize_stream(serialize_stream(enc));
+    FAIL() << method_name(GetParam()) << ": hostile symbol count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the stream's bits"),
+              std::string::npos)
+        << method_name(GetParam()) << ": " << e.what();
+  }
+}
+
 TEST(StreamSerializationFailure, BadMagicThrows) {
   const auto codes = quant_like(100, 7);
   auto bytes =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/huffman_codec.hpp"
 #include "sz/compressor.hpp"
@@ -68,6 +69,11 @@ struct Band {
   const char* name;
   double lo, hi;
 };
+
+// Printed as the dataset name: gtest's default byte dump of a Band embeds
+// the address of `name`, which moves with every load of the binary, and the
+// listed test names (ctest's included) carry that dump.
+void PrintTo(const Band& band, std::ostream* os) { *os << band.name; }
 
 class FieldRegime : public ::testing::TestWithParam<Band> {};
 

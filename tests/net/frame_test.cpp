@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/container.hpp"
+#include "pipeline/archive_index.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
 

@@ -1,16 +1,21 @@
 // Streaming archive sessions: v3 round-trip properties (writer output
-// reopened by the reader decodes bit-identical to the whole-buffer
-// Container path, for any worker count), bounded-memory guarantees on both
-// sides (BoundedRingSink on the write path, the reader's frame-residency
-// gauge on the read path), reader laziness, and robustness of a
-// FILE-backed v3 archive under every-byte truncation and single-bit
-// corruption — mirroring the in-memory container fuzz suite.
+// reopened by the reader decodes bit-identical to the in-memory
+// BatchScheduler::compress image, for any worker count), bounded-memory
+// guarantees on both sides (BoundedRingSink on the write path, the reader's
+// frame-residency gauge on the read path), reader laziness, index tampering
+// pinned to the byte layout in pipeline/wire_format.hpp (each tamper reseals
+// the footer's index CRC so the semantic check, not the CRC, rejects it),
+// robustness of memory- and FILE-backed archives under every-byte
+// truncation and single-bit corruption, and the container format's
+// round-trip, random-access and corruption properties through the reader.
 #include "pipeline/archive_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "pipeline/batch.hpp"
@@ -19,6 +24,8 @@
 #include "pipeline/thread_pool.hpp"
 #include "pipeline/wire_format.hpp"
 #include "sz/metrics.hpp"
+#include "sz/serialize.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::pipeline {
@@ -74,6 +81,49 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// An in-memory archive image opened for strict reading.
+struct OpenImage {
+  explicit OpenImage(std::vector<std::uint8_t> bytes)
+      : source(std::move(bytes)), reader(source) {}
+  OwningMemorySource source;
+  ArchiveReader reader;
+};
+
+std::uint64_t get_u64(std::span<const std::uint8_t> bytes, std::size_t off) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t off,
+            std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Applies `edit` to the index section of a v3 image and reseals the footer
+/// around it (index size and index CRC-32), so a tampered index meets the
+/// reader's semantic checks instead of bouncing off its checksum.
+std::vector<std::uint8_t> reseal_index(
+    std::vector<std::uint8_t> bytes,
+    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  const std::size_t footer = bytes.size() - wire::kFooterBytes;
+  const std::size_t begin = get_u64(bytes, footer);
+  std::vector<std::uint8_t> index(bytes.begin() + begin,
+                                  bytes.begin() + footer);
+  edit(index);
+  std::vector<std::uint8_t> tail(bytes.begin() + footer, bytes.end());
+  put_le(tail, 8, index.size(), 8);
+  put_le(tail, 16, util::crc32(index), 4);
+  bytes.resize(begin);
+  bytes.insert(bytes.end(), index.begin(), index.end());
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  return bytes;
+}
+
 void write_file(const std::string& path,
                 std::span<const std::uint8_t> bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -87,13 +137,13 @@ void write_file(const std::string& path,
 // ---- Round-trip properties ------------------------------------------------
 
 TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
-  // The v3 round-trip property: the streamed session must be byte-identical
-  // to Container::serialize() of the whole-buffer build, for every worker
-  // count, through both a memory sink and a file sink.
+  // The v3 round-trip property: a streamed session must be byte-identical
+  // to the finished in-memory image BatchScheduler::compress returns, for
+  // every worker count, through both a memory sink and a file sink.
   const Corpus corpus = mixed_corpus();
   ThreadPool p1(1);
-  const Container whole = BatchScheduler(p1).compress(corpus.specs);
-  const auto whole_bytes = whole.serialize();
+  const auto whole_bytes = BatchScheduler(p1).compress(corpus.specs);
+  EXPECT_EQ(whole_bytes[4], kContainerVersion);
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ThreadPool pool(workers);
@@ -104,6 +154,8 @@ TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
     EXPECT_TRUE(writer.finished());
     EXPECT_EQ(total, sink.bytes().size());
     EXPECT_EQ(sink.bytes(), whole_bytes) << "workers=" << workers;
+    EXPECT_EQ(BatchScheduler(pool).compress(corpus.specs), whole_bytes)
+        << "workers=" << workers;
   }
 
   const std::string path = temp_path("ohd_archive_rt.bin");
@@ -124,15 +176,15 @@ TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
 }
 
 TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
-  // ArchiveWriter output reopened by ArchiveReader must decode bit-identical
-  // floats to Container::deserialize(Container::serialize()) — per chunk,
-  // per field, per range, and through the batch scheduler — and stay within
-  // the fields' error bounds.
+  // A FILE-backed reader over the streamed archive must decode bit-identical
+  // floats to a reader over the in-memory compress() image — per chunk, per
+  // field, per range, and through the batch scheduler — and stay within the
+  // fields' error bounds.
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(3);
   const BatchScheduler sched(pool);
-  const Container whole = sched.compress(corpus.specs);
-  const Container reparsed = Container::deserialize(whole.serialize());
+  const OpenImage image(sched.compress(corpus.specs));
+  const ArchiveReader& reparsed = image.reader;
 
   const std::string path = temp_path("ohd_archive_decode.bin");
   {
@@ -164,25 +216,25 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
     EXPECT_EQ(one.data, two.data);
   }
 
-  // Batch decompress over the reader: identical to the container batch for
-  // every worker count.
-  const BatchDecompressResult from_container = sched.decompress(reparsed);
+  // Batch decompress over the file reader: identical to the in-memory image
+  // batch for every worker count.
+  const BatchDecompressResult from_image = sched.decompress(reparsed);
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool wpool(workers);
     const BatchDecompressResult streamed =
         BatchScheduler(wpool).decompress(reader);
-    ASSERT_EQ(streamed.fields.size(), from_container.fields.size());
+    ASSERT_EQ(streamed.fields.size(), from_image.fields.size());
     for (std::size_t fi = 0; fi < streamed.fields.size(); ++fi) {
       EXPECT_EQ(streamed.fields[fi].decode.data,
-                from_container.fields[fi].decode.data)
+                from_image.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
     }
-    EXPECT_EQ(streamed.chunk_seconds, from_container.chunk_seconds);
+    EXPECT_EQ(streamed.chunk_seconds, from_image.chunk_seconds);
   }
 
   // Range decode: the reader's sequential walk and the scheduler's
-  // prefetching pipeline both match the container, across chunk boundaries
-  // and partial edges.
+  // prefetching pipeline both match the in-memory image, across chunk
+  // boundaries and partial edges.
   const std::size_t field = 0;
   const std::uint64_t lo = 3000, hi = 9500;
   cudasim::SimContext c5, c6;
@@ -196,20 +248,214 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
 }
 
 TEST(ArchiveIO, SerializedSizeIsExact) {
+  // The index arithmetic (wire::field_entry_bytes, which finish() reserves
+  // with) must match the bytes the writer actually emits.
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(2);
-  const Container archive = BatchScheduler(pool).compress(corpus.specs);
-  EXPECT_EQ(archive.serialized_size(), archive.serialize().size());
-
-  const Container empty;
-  EXPECT_EQ(empty.serialized_size(), empty.serialize().size());
+  const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
+  std::uint64_t expected = wire::kHeaderBytes + image.reader.payload_bytes() +
+                           4 /*field count*/ + wire::kFooterBytes;
+  for (const FieldEntry& f : image.reader.fields()) {
+    expected += wire::field_entry_bytes(f);
+  }
+  EXPECT_EQ(expected, image.source.size());
 
   // Shared-codebook fields exercise the codebook-record arithmetic.
   bool any_shared = false;
-  for (const FieldEntry& f : archive.fields()) {
+  for (const FieldEntry& f : image.reader.fields()) {
     any_shared = any_shared || f.shared_codebook != nullptr;
   }
   EXPECT_TRUE(any_shared);
+}
+
+// ---- Container format over ArchiveReader ---------------------------------
+
+TEST(Container, MixedCorpusRoundTripsThroughDisk) {
+  // The finished in-memory image, written to disk and reopened through a
+  // FILE-backed reader, decodes every field bit-identically to the image
+  // itself and within each field's error bound.
+  const Corpus corpus = mixed_corpus();
+  ThreadPool pool(2);
+  const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
+  ASSERT_EQ(image.reader.fields().size(), 3u);
+  for (const FieldEntry& f : image.reader.fields()) {
+    EXPECT_GE(f.chunks.size(), 4u) << f.name;
+  }
+
+  const std::string path = temp_path("ohd_container_rt.bin");
+  write_file(path, image.source.bytes());
+  const FileSource source(path);
+  const ArchiveReader parsed(source);
+  EXPECT_NO_THROW(parsed.verify());
+  ASSERT_EQ(parsed.fields().size(), 3u);
+  for (std::size_t fi = 0; fi < 3; ++fi) {
+    cudasim::SimContext c1, c2;
+    const FieldDecode a = image.reader.decode_field(c1, fi);
+    const FieldDecode b = parsed.decode_field(c2, fi);
+    EXPECT_EQ(a.data, b.data) << "field " << fi;
+    const auto stats = sz::compute_error_stats(corpus.storage[fi], b.data);
+    EXPECT_LE(stats.max_abs_error,
+              parsed.fields()[fi].abs_error_bound * (1 + 1e-6))
+        << "field " << fi;
+  }
+  EXPECT_THROW(parsed.field_index("unknown"), ContainerError);
+  std::remove(path.c_str());
+}
+
+TEST(Container, RangeDecodeMatchesFullDecode) {
+  const Corpus corpus = mixed_corpus();
+  ThreadPool pool(2);
+  const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
+  const ArchiveReader& reader = image.reader;
+  const std::size_t field = reader.field_index("field0");
+  cudasim::SimContext c1, c2;
+  const FieldDecode full = reader.decode_field(c1, field);
+
+  // A range crossing two chunk boundaries (chunks are 4096 elements).
+  const std::uint64_t lo = 3000, hi = 9500;
+  const auto range = reader.decode_range(c2, field, lo, hi);
+  ASSERT_EQ(range.size(), hi - lo);
+  for (std::uint64_t i = 0; i < hi - lo; ++i) {
+    ASSERT_EQ(range[i], full.data[lo + i]) << "elem " << lo + i;
+  }
+
+  cudasim::SimContext c3;
+  EXPECT_TRUE(reader.decode_range(c3, field, 500, 500).empty());
+  cudasim::SimContext c4;
+  EXPECT_THROW(reader.decode_range(c4, field, 10, 30000), ContainerError);
+}
+
+TEST(Container, CorruptedFrameRejectedWithClearError) {
+  const Corpus corpus = mixed_corpus();
+  ThreadPool pool(2);
+  auto bytes = BatchScheduler(pool).compress(corpus.specs);
+  bytes[wire::kHeaderBytes + 17] ^= 0x01;  // one bit inside field 0, chunk 0
+
+  const OpenImage parsed(std::move(bytes));
+  cudasim::SimContext ctx;
+  try {
+    (void)parsed.reader.decode_chunk(ctx, 0, 0);
+    FAIL() << "corrupted frame was accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC-32"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("field0"), std::string::npos);
+  }
+  EXPECT_THROW(parsed.reader.verify(), ContainerError);
+
+  // Untouched chunks remain decodable.
+  cudasim::SimContext c2;
+  EXPECT_NO_THROW(parsed.reader.decode_chunk(c2, 0, 1));
+}
+
+TEST(Container, EmptyContainerRoundTrips) {
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  EXPECT_EQ(writer.finish(), wire::kHeaderBytes + 4 + wire::kFooterBytes);
+  const OpenImage image(sink.take());
+  EXPECT_TRUE(image.reader.fields().empty());
+  EXPECT_NO_THROW(image.reader.verify());
+}
+
+TEST(Container, SingleChunkDecodeNeverTouchesOtherFrames) {
+  // Corrupt EVERY payload byte outside the target frame. If decoding the
+  // target chunk still succeeds bit-identically, it provably read nothing
+  // but its own frame (and the index).
+  const Corpus corpus = mixed_corpus();
+  ThreadPool pool(2);
+  auto bytes = BatchScheduler(pool).compress(corpus.specs);
+  const OpenImage intact(bytes);
+  const std::size_t field = intact.reader.field_index("field1");
+  const std::size_t chunk = 1;
+  const ChunkRecord& rec = intact.reader.fields()[field].chunks[chunk];
+  const std::size_t frame_lo = wire::kHeaderBytes + rec.payload_offset;
+  const std::size_t frame_hi = frame_lo + rec.payload_bytes;
+  const std::size_t payload_end =
+      wire::kHeaderBytes + intact.reader.payload_bytes();
+  for (std::size_t i = wire::kHeaderBytes; i < payload_end; ++i) {
+    if (i < frame_lo || i >= frame_hi) bytes[i] ^= 0xA5;
+  }
+
+  const OpenImage vandalized(bytes);
+  cudasim::SimContext c1, c2;
+  const auto got = vandalized.reader.decode_chunk(c1, field, chunk);
+  EXPECT_EQ(got.data, intact.reader.decode_chunk(c2, field, chunk).data);
+  // ... while every other frame now fails its checksum.
+  cudasim::SimContext c3;
+  EXPECT_THROW(vandalized.reader.decode_chunk(c3, field, 0), ContainerError);
+}
+
+TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
+  // The fused chunk-decode entry point must land the same floats (and the
+  // same timings) in a caller buffer slice as decode_chunk returns, for 1-D
+  // (fused sink) and higher-rank (staged copy) fields alike.
+  const Corpus corpus = mixed_corpus();
+  ThreadPool pool(2);
+  const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
+  const ArchiveReader& reader = image.reader;
+  for (std::size_t field = 0; field < reader.fields().size(); ++field) {
+    const FieldEntry& entry = reader.fields()[field];
+    std::vector<float> buffer(entry.dims.count(),
+                              -12345.0f);  // poison: every slot must be hit
+    for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
+      cudasim::SimContext c1, c2;
+      const auto& rec = entry.chunks[ci];
+      const std::span<float> dest(buffer.data() + rec.elem_offset,
+                                  rec.dims.count());
+      const auto into = reader.decode_chunk_into(c1, field, ci, dest);
+      const auto whole = reader.decode_chunk(c2, field, ci);
+      EXPECT_TRUE(into.data.empty());
+      EXPECT_DOUBLE_EQ(into.total_seconds(), whole.total_seconds());
+      ASSERT_EQ(std::vector<float>(dest.begin(), dest.end()), whole.data)
+          << entry.name << " chunk " << ci;
+    }
+    cudasim::SimContext c3;
+    EXPECT_EQ(buffer, reader.decode_field(c3, field).data) << entry.name;
+
+    // A destination sized to the FIELD instead of the chunk is rejected.
+    cudasim::SimContext c4;
+    ASSERT_GT(entry.chunks.size(), 1u);
+    EXPECT_THROW(reader.decode_chunk_into(c4, field, 0, buffer),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Container, SharedCodebookArchiveShrinksAndDecodesIdentically) {
+  const auto data = wavy_field(30000, 5);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::GapArrayOptimized;
+
+  MemorySink private_sink;
+  ArchiveWriter private_writer(private_sink);
+  private_writer.add_field("f", data, sz::Dims::d1(30000), cfg, 1500);
+  private_writer.finish();
+  MemorySink shared_sink;
+  ArchiveWriter shared_writer(shared_sink);
+  PlanOptions plan;
+  plan.auto_method = true;
+  plan.shared_codebook = true;
+  shared_writer.add_field("f", data, sz::Dims::d1(30000), cfg, 1500, plan);
+  shared_writer.finish();
+
+  // Amortizing the per-chunk codebooks must shrink the archive...
+  EXPECT_LT(shared_sink.bytes().size(), private_sink.bytes().size());
+
+  // ... while the decoded floats stay bit-identical through a round trip.
+  const OpenImage private_books(private_sink.take());
+  const OpenImage shared_books(shared_sink.take());
+  const FieldEntry& shared_field = shared_books.reader.fields()[0];
+  ASSERT_NE(shared_field.shared_codebook, nullptr);
+  std::size_t shared_refs = 0;
+  for (const ChunkRecord& rec : shared_field.chunks) {
+    shared_refs += rec.codebook_ref == CodebookRef::SharedField;
+  }
+  EXPECT_GE(shared_refs, 2u);
+  shared_books.reader.verify();
+  cudasim::SimContext c1, c2;
+  const FieldDecode a = private_books.reader.decode_field(c1, 0);
+  const FieldDecode b = shared_books.reader.decode_field(c2, 0);
+  EXPECT_EQ(a.data, b.data);
+  const auto stats = sz::compute_error_stats(data, b.data);
+  EXPECT_LE(stats.max_abs_error, shared_field.abs_error_bound * (1 + 1e-6));
 }
 
 // ---- Bounded-memory guarantees -------------------------------------------
@@ -224,19 +470,13 @@ TEST(ArchiveIO, WriterStreamsThroughABoundedRing) {
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(4);
   const BatchScheduler sched(pool);
-  const Container whole = sched.compress(corpus.specs);
-  const auto whole_bytes = whole.serialize();
+  const OpenImage whole(sched.compress(corpus.specs));
+  const std::vector<std::uint8_t>& whole_bytes = whole.source.bytes();
 
-  std::uint64_t max_frame = 0;
-  for (const FieldEntry& f : whole.fields()) {
-    for (const ChunkRecord& rec : f.chunks) {
-      max_frame = std::max(max_frame, rec.payload_bytes);
-    }
-  }
   const std::uint64_t metadata_bytes =
-      whole.serialized_size() - whole.payload().size();
-  const std::size_t capacity =
-      static_cast<std::size_t>(metadata_bytes + max_frame);
+      whole_bytes.size() - whole.reader.payload_bytes();
+  const std::size_t capacity = static_cast<std::size_t>(
+      metadata_bytes + whole.reader.max_frame_bytes());
   ASSERT_LT(capacity, whole_bytes.size() / 2)
       << "corpus too small to make the bound interesting";
 
@@ -448,30 +688,59 @@ TEST(ArchiveIO, CompressToValidatesWriterSessionUpFront) {
   EXPECT_THROW(sched.compress_to(writer, corpus.specs), ContainerError);
 }
 
-TEST(ArchiveIO, SequentialAddFieldMatchesContainerAddField) {
-  // ArchiveWriter::add_field (streaming, O(chunk) memory) must emit the
-  // exact bytes of the Container::add_field build, planned and unplanned.
+TEST(ArchiveIO, SequentialAddFieldMatchesBatchCompress) {
+  // ArchiveWriter::add_field (sequential, O(chunk) memory) must emit the
+  // exact bytes of the parallel BatchScheduler::compress build, planned and
+  // unplanned.
   const auto data = wavy_field(30000, 15);
-  sz::CompressorConfig cfg;
-  cfg.method = core::Method::GapArrayOptimized;
-  PlanOptions planned;
-  planned.auto_method = true;
-  planned.shared_codebook = true;
-
-  Container container;
-  container.add_field("plain", data, sz::Dims::d1(30000), cfg, 1500);
-  container.add_field("planned", data, sz::Dims::d1(30000), cfg, 1500,
-                      planned);
+  std::vector<FieldSpec> specs(2);
+  specs[0].name = "plain";
+  specs[1].name = "planned";
+  specs[1].plan.auto_method = true;
+  specs[1].plan.shared_codebook = true;
+  for (FieldSpec& spec : specs) {
+    spec.data = data;
+    spec.dims = sz::Dims::d1(30000);
+    spec.config.method = core::Method::GapArrayOptimized;
+    spec.chunk_elems = 1500;
+  }
 
   MemorySink sink;
   ArchiveWriter writer(sink);
-  EXPECT_EQ(writer.add_field("plain", data, sz::Dims::d1(30000), cfg, 1500),
-            0u);
-  EXPECT_EQ(writer.add_field("planned", data, sz::Dims::d1(30000), cfg, 1500,
-                             planned),
-            1u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(writer.add_field(specs[i].name, data, specs[i].dims,
+                               specs[i].config, specs[i].chunk_elems,
+                               specs[i].plan),
+              i);
+  }
   writer.finish();
-  EXPECT_EQ(sink.bytes(), container.serialize());
+  ThreadPool pool(3);
+  EXPECT_EQ(sink.bytes(), BatchScheduler(pool).compress(specs));
+}
+
+TEST(Container, BuilderRejectsBadInput) {
+  const auto data = wavy_field(1000, 9);
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  sz::CompressorConfig cfg;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(999), cfg, 256),
+               ContainerError);
+  cfg.method = core::Method::GapArrayOriginal8Bit;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
+               ContainerError);
+  cfg.method = core::Method::GapArrayOptimized;
+  cfg.radius = 0;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
+               ContainerError);
+  cfg.radius = 512;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 0),
+               ContainerError);
+  // The rejections left no field open: the session still accepts one.
+  EXPECT_FALSE(writer.field_open());
+  EXPECT_EQ(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256), 0u);
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
+               ContainerError);
+  writer.finish();
 }
 
 // ---- File-archive robustness fuzz ----------------------------------------
@@ -479,21 +748,23 @@ TEST(ArchiveIO, SequentialAddFieldMatchesContainerAddField) {
 /// Tiny two-field v3 file archive (one field on a shared codebook) for the
 /// truncation and corruption sweeps.
 std::vector<std::uint8_t> tiny_archive_bytes() {
-  Container c;
   const auto data = wavy_field(600, 21);
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
   cfg.radius = 64;
-  c.add_field("a", data, sz::Dims::d1(600), cfg, 256);
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("a", data, sz::Dims::d1(600), cfg, 256);
   PlanOptions plan;
   plan.shared_codebook = true;
-  c.add_field("b", data, sz::Dims::d1(600), cfg, 256, plan);
-  return c.serialize();
+  writer.add_field("b", data, sz::Dims::d1(600), cfg, 256, plan);
+  writer.finish();
+  return sink.take();
 }
 
 TEST(ArchiveReaderFuzz, TruncationAtEveryPrefixThrows) {
   // Mirror of ContainerParserFuzz.TruncationAtEveryPrefixThrows over a
-  // FILE-backed v3 archive: any truncation destroys the footer's
+  // FILE-backed archive: any truncation destroys the footer's
   // size-consistency (or the footer itself), so every prefix must be
   // rejected at open — a streaming reader can never trust a torn tail.
   const auto bytes = tiny_archive_bytes();
@@ -522,8 +793,8 @@ TEST(ArchiveReaderFuzz, SingleBitCrcCorruptionIsContainedPerChunk) {
   const auto original = tiny_archive_bytes();
   const std::string path = temp_path("ohd_crc_fuzz.bin");
   {
-    const Container parsed = Container::deserialize(original);
-    const ChunkRecord& rec = parsed.fields()[1].chunks[2];
+    const OpenImage parsed(original);
+    const ChunkRecord& rec = parsed.reader.fields()[1].chunks[2];
     auto bytes = original;
     bytes[wire::kHeaderBytes + rec.payload_offset + rec.payload_bytes / 2] ^=
         0x04;
@@ -578,20 +849,14 @@ TEST(ArchiveReaderFuzz, RandomSingleBitCorruptionNeverCrashes) {
 
 TEST(ArchiveReaderFuzz, WrappingFooterArithmeticRejected) {
   // A crafted footer whose u64 fields wrap the consistency sums back onto
-  // plausible values must still be rejected — otherwise the in-memory parse
-  // path would take an out-of-bounds subspan from untrusted input.
+  // plausible values must still be rejected — otherwise the reader would
+  // size its index read from untrusted input.
   auto bytes = tiny_archive_bytes();
   const std::size_t fo = bytes.size() - wire::kFooterBytes;
-  const auto put_u64 = [&](std::size_t off, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  };
-  const std::uint64_t payload = ~std::uint64_t{99};        // 2^64 - 100
-  put_u64(fo + 24, payload);                               // payload bytes
-  put_u64(fo + 0, wire::kHeaderBytes + payload);           // wraps to match
-  put_u64(fo + 8, bytes.size() + 52);                      // wraps size check
-  EXPECT_THROW(Container::deserialize(bytes), ContainerError);
+  const std::uint64_t payload = ~std::uint64_t{99};          // 2^64 - 100
+  put_le(bytes, fo + 24, payload, 8);                        // payload bytes
+  put_le(bytes, fo + 0, wire::kHeaderBytes + payload, 8);    // wraps to match
+  put_le(bytes, fo + 8, bytes.size() + 52, 8);               // wraps size check
   const MemorySource source(bytes);
   EXPECT_THROW(ArchiveReader{source}, ContainerError);
 }
@@ -604,25 +869,308 @@ TEST(ArchiveReaderFuzz, TrailingGarbageAndLegacyVersionsRejected) {
     padded.push_back(0);
     const MemorySource source(padded);
     EXPECT_THROW(ArchiveReader{source}, ContainerError);
-    EXPECT_THROW(Container::deserialize(padded), ContainerError);
   }
-  // The reader refuses head-indexed legacy images with a pointer to
-  // Container::deserialize (which still reads them).
-  Container legacy;
-  const auto data = wavy_field(600, 22);
-  sz::CompressorConfig cfg;
-  legacy.add_field("f", data, sz::Dims::d1(600), cfg, 256);
-  for (const auto& image : {legacy.serialize_v1(), legacy.serialize_v2()}) {
+  // Versions 1 and 2 (the retired head-indexed whole-buffer formats) are
+  // refused as unsupported, like any other version byte.
+  for (const std::uint8_t version : {1, 2, 4}) {
+    auto image = bytes;
+    image[4] = version;
     const MemorySource source(image);
     try {
       const ArchiveReader reader(source);
-      FAIL() << "legacy image was accepted";
+      FAIL() << "version " << int{version} << " image was accepted";
     } catch (const ContainerError& e) {
-      EXPECT_NE(std::string(e.what()).find("Container::deserialize"),
-                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("unsupported container version"),
+                std::string::npos)
+          << e.what();
     }
-    EXPECT_NO_THROW(Container::deserialize(image).verify());
   }
+}
+
+TEST(ArchiveReaderFuzz, HostileSymbolCountInAResealedFrameIsRejected) {
+  // A frame that declares 2^33 elements and 2^33 Huffman symbols over a few
+  // hundred bytes of codewords, written through ArchiveWriter so the frame
+  // CRC and the index CRC are both valid around it: only the stream parse's
+  // symbols-vs-bits bound stands between the reader and a 2^33-element
+  // output buffer, and it must reject the frame with a typed error.
+  const auto data = wavy_field(600, 23);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::SelfSyncOptimized;
+  sz::CompressedBlob blob = sz::compress(data, sz::Dims::d1(600), cfg);
+  const std::uint64_t huge = std::uint64_t{1} << 33;
+  blob.dims = sz::Dims::d1(huge);
+  blob.encoded.num_symbols = huge;
+  std::get<huffman::StreamEncoding>(blob.encoded.payload).num_symbols = huge;
+  const auto frame = sz::serialize_blob(blob);
+
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  ArchiveFieldSpec spec;
+  spec.name = "hostile";
+  spec.dims = blob.dims;
+  spec.abs_error_bound = blob.abs_error_bound;
+  spec.radius = blob.radius;
+  spec.method = cfg.method;
+  writer.begin_field(spec);
+  writer.write_chunk(ChunkExtent{0, blob.dims}, frame);
+  writer.end_field();
+  writer.finish();
+
+  const OpenImage image(sink.take());
+  EXPECT_NO_THROW(image.reader.verify());  // every CRC checks out
+  cudasim::SimContext ctx;
+  try {
+    (void)image.reader.decode_chunk(ctx, 0, 0);
+    FAIL() << "hostile symbol count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the stream's bits"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- Index tampering, pinned to the wire_format.hpp layout ----------------
+
+/// Single-field archive with an EMPTY name, so the index offsets of the
+/// layout table in wire_format.hpp are fixed (relative to the index start):
+/// field method tag at byte 52, the shared-codebook length at 53, chunk
+/// records from byte 69, kChunkRecordBytes each (elem offset at record
+/// offset 16, codebook-ref byte at 53). `shared` plans a field codebook
+/// (small radius keeps its record short): its bytes then follow the length
+/// at 61, and a CRC-32 follows them.
+std::vector<std::uint8_t> tiny_serialized(bool shared = false) {
+  const auto data = wavy_field(600, 21);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::SelfSyncOptimized;
+  cfg.radius = shared ? 64 : 512;
+  PlanOptions plan;
+  plan.shared_codebook = shared;
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("", data, sz::Dims::d1(600), cfg, 256, plan);
+  writer.finish();
+  return sink.take();
+}
+
+constexpr std::size_t kFieldMethodOffset = 52;
+constexpr std::size_t kSharedCodebookLenOffset = 53;
+constexpr std::size_t kFirstChunkOffset = 69;
+constexpr std::size_t kCodebookRefOffsetInRecord = 53;
+
+/// Opens `bytes` with a strict reader and decodes chunk 0 of field 0.
+void open_and_decode(std::span<const std::uint8_t> bytes) {
+  const MemorySource source(bytes);
+  const ArchiveReader reader(source);
+  cudasim::SimContext ctx;
+  (void)reader.decode_chunk(ctx, 0, 0);
+}
+
+TEST(ContainerParserFuzz, TruncationAtEveryPrefixThrows) {
+  const auto bytes = tiny_serialized();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const MemorySource prefix(
+        std::span<const std::uint8_t>(bytes.data(), cut));
+    EXPECT_THROW(ArchiveReader{prefix}, std::invalid_argument)
+        << "cut=" << cut;
+  }
+}
+
+TEST(ContainerParserFuzz, BadMagicThrows) {
+  auto bytes = tiny_serialized();
+  bytes[0] ^= 0xFF;
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, BadVersionThrows) {
+  auto bytes = tiny_serialized();
+  bytes[4] = 99;
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+  // The footer repeats the version; it must agree too.
+  bytes = tiny_serialized();
+  bytes[bytes.size() - 8] = 99;
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, UnknownMethodTagThrows) {
+  const auto bytes = reseal_index(tiny_serialized(), [](auto& index) {
+    index[kFieldMethodOffset] = 0xEE;
+  });
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, NonContiguousChunkOffsetsThrow) {
+  const auto bytes = reseal_index(tiny_serialized(), [](auto& index) {
+    // elem_offset of the SECOND chunk record.
+    const std::size_t off = kFirstChunkOffset + wire::kChunkRecordBytes + 16;
+    ASSERT_LT(off, index.size());
+    index[off] ^= 0x01;
+  });
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, BadCodebookRefTagThrows) {
+  const auto bytes = reseal_index(tiny_serialized(), [](auto& index) {
+    const std::size_t off = kFirstChunkOffset + kCodebookRefOffsetInRecord;
+    ASSERT_EQ(index[off], 0);  // Private, pinning the layout offset
+    index[off] = 0xEE;
+  });
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, SharedRefWithoutFieldCodebookThrows) {
+  const auto bytes = reseal_index(tiny_serialized(), [](auto& index) {
+    // The field carries no shared codebook (length 0 at its offset)...
+    ASSERT_EQ(get_u64(index, kSharedCodebookLenOffset), 0u);
+    // ... so a chunk claiming SharedField is inconsistent index data.
+    index[kFirstChunkOffset + kCodebookRefOffsetInRecord] =
+        static_cast<std::uint8_t>(CodebookRef::SharedField);
+  });
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, SharedCodebookCrcMismatchThrows) {
+  const auto original = tiny_serialized(/*shared=*/true);
+  // Flip a byte in the middle of the codebook's length table.
+  const auto bytes = reseal_index(original, [](auto& index) {
+    const std::uint64_t cb_len = get_u64(index, kSharedCodebookLenOffset);
+    ASSERT_GT(cb_len, 0u);
+    index[kSharedCodebookLenOffset + 8 + cb_len / 2] ^= 0x01;
+  });
+  try {
+    open_and_decode(bytes);
+    FAIL() << "corrupted shared codebook was accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("shared codebook"),
+              std::string::npos);
+  }
+  // The intact bytes parse, and the codebook is attached to the field.
+  const OpenImage parsed(original);
+  ASSERT_EQ(parsed.reader.fields().size(), 1u);
+  EXPECT_NE(parsed.reader.fields()[0].shared_codebook, nullptr);
+}
+
+TEST(ContainerParserFuzz, SharedTruncationAtEveryPrefixThrows) {
+  // Truncating the index section itself (resealed, so the footer stays
+  // consistent) must fail on the structure: the shared-codebook length,
+  // bytes and CRC, and the codebook-ref byte of every chunk record.
+  const auto bytes = tiny_serialized(/*shared=*/true);
+  const std::size_t index_bytes =
+      bytes.size() - wire::kFooterBytes -
+      get_u64(bytes, bytes.size() - wire::kFooterBytes);
+  for (std::size_t cut = 0; cut < index_bytes; ++cut) {
+    const auto torn = reseal_index(
+        bytes, [cut](auto& index) { index.resize(cut); });
+    EXPECT_THROW(open_and_decode(torn), std::invalid_argument)
+        << "cut=" << cut;
+  }
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const MemorySource prefix(
+        std::span<const std::uint8_t>(bytes.data(), cut));
+    EXPECT_THROW(ArchiveReader{prefix}, std::invalid_argument)
+        << "cut=" << cut;
+  }
+}
+
+/// Random single-byte edits of the index, resealed: every outcome must be a
+/// clean rejection at open, a checksum/frame rejection at decode, or a
+/// successful decode (the edit hit non-load-bearing metadata). Nothing else
+/// — no crashes, no UB.
+void fuzz_resealed_index(const std::vector<std::uint8_t>& original,
+                         std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto bytes = reseal_index(original, [&rng](auto& index) {
+      index[rng.bounded(index.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.bounded(255));
+    });
+    try {
+      open_and_decode(bytes);
+    } catch (const std::invalid_argument&) {
+    }
+  }
+}
+
+TEST(ContainerParserFuzz, SharedRandomSingleByteCorruptionNeverCrashes) {
+  fuzz_resealed_index(tiny_serialized(/*shared=*/true), 79);
+}
+
+TEST(ContainerParserFuzz, RandomSingleByteCorruptionNeverCrashes) {
+  fuzz_resealed_index(tiny_serialized(), 77);
+}
+
+TEST(ContainerParserFuzz, OverflowingExtentRejected) {
+  // extent[1] of the rank-1 field (u64 at index byte 24): setting its top
+  // byte makes it 2^63, which both violates the trailing-1 rule for rank 1
+  // and would wrap count(). Either way the parser must reject it before any
+  // buffer is sized from the product.
+  const auto bytes =
+      reseal_index(tiny_serialized(), [](auto& index) { index[31] = 0x80; });
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+}
+
+TEST(ContainerParserFuzz, DuplicateFieldNamesRejected) {
+  const auto data = wavy_field(800, 31);
+  sz::CompressorConfig cfg;
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("a", data, sz::Dims::d1(800), cfg, 400);
+  writer.add_field("b", data, sz::Dims::d1(800), cfg, 400);
+  writer.finish();
+  // Rename field "b" to "a" in the index: its name is stored as u64 length
+  // 1 followed by 'b' — a 9-byte pattern unique in the index.
+  const auto bytes = reseal_index(sink.take(), [](auto& index) {
+    const std::uint8_t pattern[9] = {1, 0, 0, 0, 0, 0, 0, 0, 'b'};
+    const auto it = std::search(index.begin(), index.end(),
+                                std::begin(pattern), std::end(pattern));
+    ASSERT_NE(it, index.end());
+    *(it + 8) = 'a';
+  });
+  try {
+    open_and_decode(bytes);
+    FAIL() << "duplicate field names were accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate field name"),
+              std::string::npos);
+  }
+}
+
+TEST(ContainerParserFuzz, TrailingBytesRejected) {
+  // Past the footer, and inside a resealed index after the last field.
+  auto bytes = tiny_serialized();
+  bytes.push_back(0);
+  EXPECT_THROW(open_and_decode(bytes), ContainerError);
+  bytes = reseal_index(tiny_serialized(),
+                       [](auto& index) { index.push_back(0); });
+  try {
+    open_and_decode(bytes);
+    FAIL() << "trailing index bytes were accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos);
+  }
+}
+
+TEST(ChunkLayout, TilesFieldsContiguouslyAndKeepsRank) {
+  const auto l1 = chunk_layout(sz::Dims::d1(10000), 4096);
+  ASSERT_EQ(l1.size(), 3u);
+  EXPECT_EQ(l1[0].dims.count(), 4096u);
+  EXPECT_EQ(l1[2].dims.count(), 10000u - 2 * 4096u);
+
+  const auto l2 = chunk_layout(sz::Dims::d2(96, 70), 2000);
+  std::uint64_t next = 0;
+  for (const auto& e : l2) {
+    EXPECT_EQ(e.elem_offset, next);
+    EXPECT_EQ(e.dims.rank, 2u);
+    EXPECT_EQ(e.dims.extent[0], 96u);  // whole slabs only
+    next += e.dims.count();
+  }
+  EXPECT_EQ(next, 96u * 70u);
+
+  // A chunk target smaller than one slab still takes one whole slab.
+  const auto l3 = chunk_layout(sz::Dims::d3(24, 20, 12), 10);
+  EXPECT_EQ(l3.size(), 12u);
+  EXPECT_EQ(l3[0].dims.count(), 24u * 20u);
+
+  EXPECT_THROW(chunk_layout(sz::Dims::d1(100), 0), ContainerError);
 }
 
 // ---- Salvage & repair ------------------------------------------------------
@@ -941,7 +1489,8 @@ TEST(Salvage, PayloadCorruptionKeepsTheStrictIndexAndQuarantinesAtDecode) {
   // batch decompress refuses the archive, and the degraded decompress
   // quarantines exactly the flipped chunk.
   const auto original = tiny_archive_bytes();
-  const Container parsed = Container::deserialize(original);
+  const OpenImage image(original);
+  const ArchiveReader& parsed = image.reader;
   const ChunkRecord& rec = parsed.fields()[1].chunks[2];
   auto bytes = original;
   bytes[wire::kHeaderBytes + rec.payload_offset + rec.payload_bytes / 2] ^=

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::sz {
@@ -87,6 +88,31 @@ TEST(BlobSerializationFailure, OverflowingExtentsRejected) {
   crafted[5] = 3;      // rank 3 ...
   crafted[24] = 0x80;  // ... so extent[0] * extent[1] wraps 64 bits
   EXPECT_THROW(deserialize_blob(crafted), std::invalid_argument);
+}
+
+TEST(BlobSerializationFailure, OutlierCountBeyondBlobBytesRejected) {
+  // A bare 53-byte header declaring 2^33 elements and 2^33 - 1 outliers: the
+  // count passes the element bound, but the bytes left could not hold even
+  // one outlier record, so it must be rejected before anything is reserved
+  // for 2^33 records.
+  util::ByteWriter w;
+  w.magic("OHDZ");
+  w.u8(1);   // blob version
+  w.u32(3);  // rank
+  for (int i = 0; i < 3; ++i) w.u64(2048);  // 2^33 elements
+  w.f64(1e-3);  // error bound
+  w.u32(512);   // radius
+  w.u64((std::uint64_t{1} << 33) - 1);  // outlier count
+  const auto bytes = w.take();
+  ASSERT_EQ(bytes.size(), 53u);
+  try {
+    (void)deserialize_blob(bytes);
+    FAIL() << "hostile outlier count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("outlier count exceeds blob size"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BlobSerializationFailure, DimsMismatchRejected) {
