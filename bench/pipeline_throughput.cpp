@@ -14,25 +14,30 @@
 //
 // Two throughput views are reported for every sweep point:
 //  * simulated — corpus bytes over the deterministic simulated-GPU batch
-//    makespan (BatchDecompressResult::makespan, list-scheduled over N
-//    virtual workers); machine-independent, this is the scaling headline;
-//  * host — corpus bytes over the measured wall time of the functional
-//    simulation on the ThreadPool (scales only with physical cores).
-// Every multi-threaded run is verified bit-identical to the 1-worker run
-// (the sweep decodes the ADAPTIVE archive, so shared-codebook and
-// auto-method chunks are what the identity check covers).
+//    makespan (cudasim::makespan over the per-chunk seconds of
+//    ArchiveReader::decode_chunk, list-scheduled onto N virtual workers);
+//    machine-independent, this is the scaling headline;
+//  * host — corpus bytes over the measured wall time of the host decode
+//    (BatchScheduler::decompress) on the ThreadPool (scales only with
+//    physical cores).
+// Every multi-threaded run is verified bit-identical to the 1-worker run,
+// and the simulated per-chunk decode to the host decode (the sweep decodes
+// the ADAPTIVE archive, so shared-codebook and auto-method chunks are what
+// the identity checks cover).
 //
 //   ./bench_pipeline_throughput            # table on stdout
 //   ./bench_pipeline_throughput --json [path]   # also write BENCH_pipeline.json
 //
 // OHD_BENCH_SCALE scales the corpus (default 1.0 => ~1.3M elements; CI smoke
 // uses 0.05).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cudasim/timeline.hpp"
 #include "data/generic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -121,8 +126,6 @@ struct SweepPoint {
 
 bool results_identical(const pipeline::BatchDecompressResult& a,
                        const pipeline::BatchDecompressResult& b) {
-  if (a.chunk_seconds != b.chunk_seconds) return false;
-  if (a.simulated_seconds != b.simulated_seconds) return false;
   if (a.fields.size() != b.fields.size()) return false;
   for (std::size_t i = 0; i < a.fields.size(); ++i) {
     if (a.fields[i].decode.data != b.fields[i].decode.data) return false;
@@ -223,6 +226,26 @@ int run(bool emit_json, const char* json_path) {
         pipeline::BatchScheduler(ref_pool).decompress(reader);
     const double ref_wall = ref_timer.seconds();
 
+    // Simulated per-chunk costs in (field, chunk) order, each chunk on a
+    // fresh SimContext; its floats must match the host decode.
+    std::vector<double> chunk_seconds;
+    bool sim_identical = true;
+    for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
+      const auto& entry = reader.fields()[fi];
+      const std::vector<float>& host = reference.fields[fi].decode.data;
+      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
+        cudasim::SimContext ctx;
+        const sz::DecompressionResult sim = reader.decode_chunk(ctx, fi, ci);
+        chunk_seconds.push_back(sim.total_seconds());
+        sim_identical =
+            sim_identical &&
+            std::equal(sim.data.begin(), sim.data.end(),
+                       host.begin() + static_cast<std::ptrdiff_t>(
+                                          entry.chunks[ci].elem_offset));
+      }
+    }
+    all_identical = all_identical && sim_identical;
+
     for (const std::size_t threads : thread_counts) {
       SweepPoint p;
       p.chunk_divisor = divisor;
@@ -239,7 +262,7 @@ int run(bool emit_json, const char* json_path) {
         p.host_wall_s = timer.seconds();
         p.identical = results_identical(r, reference);
       }
-      p.sim_makespan_s = reference.makespan(threads);
+      p.sim_makespan_s = cudasim::makespan(chunk_seconds, threads);
       p.sim_gbps = util::throughput_gbps(corpus_bytes, p.sim_makespan_s);
       p.host_gbps = util::throughput_gbps(corpus_bytes, p.host_wall_s);
       all_identical = all_identical && p.identical;
@@ -254,7 +277,8 @@ int run(bool emit_json, const char* json_path) {
     // The headline scaling number comes from the finer chunking (more
     // chunks => better load balance on the simulated workers).
     if (divisor == 16) {
-      sim_speedup_4t = reference.makespan(1) / reference.makespan(4);
+      sim_speedup_4t = cudasim::makespan(chunk_seconds, 1) /
+                       cudasim::makespan(chunk_seconds, 4);
       double wall_4t = 0.0;
       for (const auto& p : points) {
         if (p.chunk_divisor == divisor && p.threads == 4) {
@@ -279,7 +303,8 @@ int run(bool emit_json, const char* json_path) {
       shared_smaller ? "win" : "DO NOT WIN");
   if (!all_identical) {
     std::fprintf(stderr,
-                 "FAIL: multi-threaded decompress diverged from sequential\n");
+                 "FAIL: multi-threaded decompress diverged from sequential, "
+                 "or the simulated chunk decode from the host decode\n");
     return 1;
   }
   if (!shared_smaller) {

@@ -29,8 +29,9 @@
 //
 //  * telemetry overhead — the streamed decompress is rerun with the full
 //    observability stack live (process-wide enable flag, registry mirroring,
-//    installed trace recorder) and the min-of-reps wall is compared against
-//    the plain run; the fraction is guarded (< 2% budget, wall-clock
+//    installed trace recorder), interleaved pair by pair with plain runs
+//    until each side has 50 ms of wall time, and the median per-pair wall
+//    ratio is reported; the fraction is guarded (< 2% budget, wall-clock
 //    tolerance on top) so instrumentation can never silently tax the hot
 //    path.
 //
@@ -232,35 +233,60 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
 
   // Telemetry overhead: the same streamed decompress with the full
   // observability stack live — process-wide flag on, every registry mirror
-  // taken, a trace recorder collecting spans. Both sides are min-of-reps on
-  // a warm page cache so the fraction isolates instrumentation cost.
-  constexpr int kOverheadReps = 5;
-  double plain_wall = stream_wall;
-  for (int rep = kReps; rep < kOverheadReps; ++rep) {
-    util::WallTimer t;
-    streamed = sched.decompress(reader);
-    plain_wall = std::min(plain_wall, t.seconds());
-  }
+  // taken, a trace recorder collecting spans — against the plain run, on a
+  // warm page cache. Plain and instrumented decompresses run in interleaved
+  // pairs (alternating which goes first) until each side has
+  // kOverheadMinWall seconds of wall time, so host drift hits both sides of
+  // a pair alike; the fraction is the median per-pair ratio minus one.
+  constexpr double kOverheadMinWall = 0.05;
   obs::TraceRecorder recorder;
   pipeline::BatchDecompressResult traced;
+  double plain_wall = 1e300;
   double telemetry_wall = 1e300;
+  double plain_total = 0.0;
+  double telemetry_total = 0.0;
+  std::vector<double> ratios;
   std::string snapshot_json;
   std::size_t trace_spans = 0;
-  {
-    const obs::ScopedTelemetry scope(&recorder);
-    for (int rep = 0; rep < kOverheadReps; ++rep) {
+  while (plain_total < kOverheadMinWall || telemetry_total < kOverheadMinWall) {
+    const auto plain_run = [&] {
+      util::WallTimer t;
+      streamed = sched.decompress(reader);
+      return t.seconds();
+    };
+    const auto instrumented_run = [&] {
+      // The scope resets the registry, so the snapshot and trace describe
+      // exactly one streamed decompress.
+      const obs::ScopedTelemetry scope(&recorder);
       recorder.clear();
-      obs::registry().reset();
       util::WallTimer t;
       traced = sched.decompress(reader);
-      telemetry_wall = std::min(telemetry_wall, t.seconds());
+      const double wall = t.seconds();
+      snapshot_json = obs::registry().snapshot().to_json(4);
+      trace_spans = recorder.spans().size();
+      return wall;
+    };
+    double plain = 0.0;
+    double instrumented = 0.0;
+    if (ratios.size() % 2 == 0) {
+      plain = plain_run();
+      instrumented = instrumented_run();
+    } else {
+      instrumented = instrumented_run();
+      plain = plain_run();
     }
-    // Snapshot/trace come from the last rep (registry reset per rep, so the
-    // report describes exactly one streamed decompress).
-    snapshot_json = obs::registry().snapshot().to_json(4);
-    trace_spans = recorder.spans().size();
+    plain_total += plain;
+    telemetry_total += instrumented;
+    plain_wall = std::min(plain_wall, plain);
+    telemetry_wall = std::min(telemetry_wall, instrumented);
+    ratios.push_back(instrumented / plain);
   }
-  const double telemetry_overhead = telemetry_wall / plain_wall - 1.0;
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  const double median_ratio =
+      ratios.size() % 2 == 1 ? ratios[mid]
+                             : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  const double telemetry_overhead = median_ratio - 1.0;
 
   // Fault-tolerance happy path: the same corpus written once more with
   // recovery preambles (WriterOptions::recovery_preambles). Two properties
@@ -322,10 +348,10 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
       100.0 * peak_fraction, static_cast<unsigned long long>(budget),
       overlap_speedup);
   std::printf(
-      "telemetry: plain %.1f ms, instrumented %.1f ms => overhead %+.2f%% "
-      "(%zu trace spans)\n",
-      plain_wall * 1e3, telemetry_wall * 1e3, 100.0 * telemetry_overhead,
-      trace_spans);
+      "telemetry: %zu interleaved pairs, best plain %.1f ms, best "
+      "instrumented %.1f ms => median overhead %+.2f%% (%zu trace spans)\n",
+      ratios.size(), plain_wall * 1e3, telemetry_wall * 1e3,
+      100.0 * telemetry_overhead, trace_spans);
   std::printf(
       "recovery preambles: +%llu B (%.2f%% overhead), strict decode read "
       "amplification %.4fx\n",

@@ -96,9 +96,6 @@ int main(int argc, char** argv) {
         reader.fields()[i].chunks.size(), shared_refs, stats.max_abs_error,
         bound);
   }
-  std::printf("batch simulated decompress: %.3f ms total, %.3f ms on 4 "
-              "simulated workers\n",
-              batch.simulated_seconds * 1e3, batch.makespan(4) * 1e3);
   const std::uint64_t peak =
       reader.resident_bytes() + reader.peak_frame_bytes();
   const bool bounded =

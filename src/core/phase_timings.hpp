@@ -18,29 +18,6 @@ struct PhaseTimings {
     return intra_sync_s + inter_sync_s + output_index_s + tune_s +
            decode_write_s + other_s;
   }
-
-  PhaseTimings& operator+=(const PhaseTimings& o) {
-    intra_sync_s += o.intra_sync_s;
-    inter_sync_s += o.inter_sync_s;
-    output_index_s += o.output_index_s;
-    tune_s += o.tune_s;
-    decode_write_s += o.decode_write_s;
-    other_s += o.other_s;
-    return *this;
-  }
-
-  /// Visits every phase as (name, seconds) — the single source of truth for
-  /// consumers that iterate phases generically (obs::absorb_phase_timings,
-  /// report emitters) so adding a phase here is the only edit needed.
-  template <typename Fn>
-  void for_each_phase(Fn&& fn) const {
-    fn("intra_sync", intra_sync_s);
-    fn("inter_sync", inter_sync_s);
-    fn("output_index", output_index_s);
-    fn("tune", tune_s);
-    fn("decode_write", decode_write_s);
-    fn("other", other_s);
-  }
 };
 
 }  // namespace ohd::core

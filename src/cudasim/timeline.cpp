@@ -1,5 +1,7 @@
 #include "cudasim/timeline.hpp"
 
+#include <algorithm>
+
 namespace ohd::cudasim {
 
 void Timeline::add(const std::string& name, double seconds) {
@@ -18,6 +20,14 @@ double Timeline::total_with_prefix(const std::string& prefix) const {
     if (name.rfind(prefix, 0) == 0) sum += seconds;
   }
   return sum;
+}
+
+double makespan(std::span<const double> task_seconds, std::size_t workers) {
+  std::vector<double> busy(std::max<std::size_t>(1, workers), 0.0);
+  for (const double s : task_seconds) {
+    *std::min_element(busy.begin(), busy.end()) += s;
+  }
+  return *std::max_element(busy.begin(), busy.end());
 }
 
 }  // namespace ohd::cudasim

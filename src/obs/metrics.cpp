@@ -251,12 +251,4 @@ std::string Snapshot::to_json(int indent) const {
   return out;
 }
 
-void absorb_phase_timings(MetricsRegistry& reg, const core::PhaseTimings& t) {
-  t.for_each_phase([&reg](const char* name, double seconds) {
-    if (seconds <= 0.0) return;
-    reg.counter(std::string("decode.phase.") + name + "_ns")
-        .add(static_cast<std::uint64_t>(seconds * 1e9));
-  });
-}
-
 }  // namespace ohd::obs

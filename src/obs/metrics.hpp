@@ -35,8 +35,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/phase_timings.hpp"
-
 namespace ohd::obs {
 
 /// Process-wide telemetry gate. Defaults to off (or on when the process
@@ -201,10 +199,5 @@ class MetricsRegistry {
 
 /// The process-wide registry every instrumented component reports into.
 MetricsRegistry& registry();
-
-/// Bridges core::PhaseTimings into `reg`: each phase row becomes
-/// "decode.phase.<name>_ns" (counter, nanoseconds), so the decoder families'
-/// aggregated simulated timings appear in snapshots without rewriting them.
-void absorb_phase_timings(MetricsRegistry& reg, const core::PhaseTimings& t);
 
 }  // namespace ohd::obs

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -29,11 +30,42 @@ void append_escaped(std::string& out, std::string_view s) {
 
 }  // namespace
 
+/// Spans are appended to a buffer owned by the recording thread, so threads
+/// closing spans at once never contend on one lock or cache line; each
+/// buffer's mutex is taken by its own thread on every append and by
+/// exporters only, so it is uncontended on the hot path.
 struct TraceRecorder::Impl {
-  mutable std::mutex mutex;
-  std::vector<Span> spans;
-  std::unordered_map<std::thread::id, int> thread_index;
-  std::atomic<std::int64_t> next_id{0};
+  struct ThreadSpans {
+    std::mutex mutex;
+    std::vector<Span> spans;
+    int thread_index = 0;
+    std::int64_t next_seq = 0;  // owning thread only
+  };
+
+  /// Keys the thread-local buffer cache; never reused, so a cache entry for
+  /// a destroyed recorder can never match a later one at the same address.
+  const std::uint64_t uid = next_uid.fetch_add(1, std::memory_order_relaxed);
+  mutable std::mutex mutex;  // guards threads (the list, not the spans)
+  std::vector<std::unique_ptr<ThreadSpans>> threads;
+  std::unordered_map<std::thread::id, ThreadSpans*> by_thread;
+
+  static inline std::atomic<std::uint64_t> next_uid{1};
+
+  ThreadSpans& local() {
+    thread_local std::uint64_t cached_uid = 0;
+    thread_local ThreadSpans* cached = nullptr;
+    if (cached_uid == uid) return *cached;
+    std::lock_guard<std::mutex> lock(mutex);
+    ThreadSpans*& slot = by_thread[std::this_thread::get_id()];
+    if (slot == nullptr) {
+      threads.push_back(std::make_unique<ThreadSpans>());
+      slot = threads.back().get();
+      slot->thread_index = static_cast<int>(threads.size() - 1);
+    }
+    cached_uid = uid;
+    cached = slot;
+    return *slot;
+  }
 };
 
 TraceRecorder::~TraceRecorder() {
@@ -53,9 +85,11 @@ TraceRecorder::Impl* TraceRecorder::impl() const {
 
 TraceRecorder::ActiveSpan TraceRecorder::begin_at(std::string_view name,
                                                   std::uint64_t start_ns) {
-  Impl* p = impl();
+  Impl::ThreadSpans& local = impl()->local();
   ActiveSpan s;
-  s.id = p->next_id.fetch_add(1, std::memory_order_relaxed);
+  // Unique per recorder without a shared counter: the thread's index in the
+  // high bits, its own sequence number in the low 40.
+  s.id = (std::int64_t{local.thread_index} << 40) | local.next_seq++;
   s.parent_id = t_open_spans.empty() ? -1 : t_open_spans.back();
   s.start_ns = start_ns;
   s.name.assign(name);
@@ -67,33 +101,45 @@ void TraceRecorder::end_at(ActiveSpan&& span, std::uint64_t end_ns) {
   if (!t_open_spans.empty() && t_open_spans.back() == span.id) {
     t_open_spans.pop_back();
   }
-  Impl* p = impl();
+  Impl::ThreadSpans& local = impl()->local();
   Span done;
   done.name = std::move(span.name);
   done.id = span.id;
   done.parent_id = span.parent_id;
+  done.thread_index = local.thread_index;
   done.start_ns = span.start_ns;
   done.duration_ns = end_ns >= span.start_ns ? end_ns - span.start_ns : 0;
-  std::lock_guard<std::mutex> lock(p->mutex);
-  const auto [it, inserted] = p->thread_index.emplace(
-      std::this_thread::get_id(), static_cast<int>(p->thread_index.size()));
-  done.thread_index = it->second;
-  p->spans.push_back(std::move(done));
+  std::lock_guard<std::mutex> lock(local.mutex);
+  local.spans.push_back(std::move(done));
 }
 
 std::vector<Span> TraceRecorder::spans() const {
   Impl* p = impl_.load(std::memory_order_acquire);
   if (p == nullptr) return {};
-  std::lock_guard<std::mutex> lock(p->mutex);
-  return p->spans;
+  std::vector<Span> all;
+  {
+    std::lock_guard<std::mutex> lock(p->mutex);
+    for (const auto& t : p->threads) {
+      std::lock_guard<std::mutex> spans_lock(t->mutex);
+      all.insert(all.end(), t->spans.begin(), t->spans.end());
+    }
+  }
+  // Completion order across threads; stable, so a child closing in the same
+  // nanosecond as its parent stays ahead of it.
+  std::stable_sort(all.begin(), all.end(), [](const Span& a, const Span& b) {
+    return a.start_ns + a.duration_ns < b.start_ns + b.duration_ns;
+  });
+  return all;
 }
 
 void TraceRecorder::clear() {
   Impl* p = impl_.load(std::memory_order_acquire);
   if (p == nullptr) return;
   std::lock_guard<std::mutex> lock(p->mutex);
-  p->spans.clear();
-  p->thread_index.clear();
+  for (const auto& t : p->threads) {
+    std::lock_guard<std::mutex> spans_lock(t->mutex);
+    t->spans.clear();
+  }
 }
 
 std::string TraceRecorder::chrome_trace_json() const {

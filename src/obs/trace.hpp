@@ -31,9 +31,11 @@ struct Span {
   std::uint64_t duration_ns = 0;
 };
 
-/// Collects spans from any number of threads. begin/end are cheap (begin is
-/// an atomic id draw plus a thread-local push; end takes the mutex once to
-/// append); exporters snapshot under the same mutex.
+/// Collects spans from any number of threads. begin/end touch no state
+/// shared between threads on the hot path: begin draws the id from the
+/// calling thread's own sequence and pushes a thread-local stack; end
+/// appends to a buffer owned by the calling thread under that buffer's own,
+/// uncontended mutex. Exporters merge the per-thread buffers.
 class TraceRecorder {
  public:
   /// In-flight span handle, held by ScopedOp between begin and end.

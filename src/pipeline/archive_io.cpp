@@ -71,15 +71,6 @@ std::vector<ChunkExtent> chunk_layout(const sz::Dims& dims,
   return out;
 }
 
-void FieldDecode::absorb_timings(const sz::DecompressionResult& chunk) {
-  huffman_phases += chunk.huffman_phases;
-  huffman_seconds += chunk.huffman_seconds;
-  reverse_lorenzo_seconds += chunk.reverse_lorenzo_seconds;
-  outlier_scatter_seconds += chunk.outlier_scatter_seconds;
-  simulated_seconds += chunk.total_seconds();
-  chunk_seconds.push_back(chunk.total_seconds());
-}
-
 ArchiveWriter::ArchiveWriter(ByteSink& sink, WriterOptions options)
     : sink_(sink), options_(options) {
   util::ByteWriter w;
@@ -504,39 +495,34 @@ sz::DecompressionResult ArchiveReader::decode_chunk(
   return sz::decompress(ctx, blob, decoder);
 }
 
-sz::DecompressionResult ArchiveReader::decode_chunk_into(
-    cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
-    std::span<float> out, const core::DecoderConfig& decoder) const {
+void ArchiveReader::decode_chunk_into(std::size_t field, std::size_t chunk,
+                                      std::span<float> out) const {
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   const std::vector<std::uint8_t> frame = fetch_frame(rec);
   if (obs::enabled()) reader_metrics().crc_checks.add(1);
   const sz::CompressedBlob blob =
       wire::parse_chunk_frame(fields_[field], chunk, frame);
-  return sz::decompress_into(ctx, blob, out, decoder);
+  sz::fused_decode_reconstruct(blob, out);
 }
 
-FieldDecode ArchiveReader::decode_field(
-    cudasim::SimContext& ctx, std::size_t field,
-    const core::DecoderConfig& decoder) const {
+FieldDecode ArchiveReader::decode_field(std::size_t field) const {
   require_complete(field);
   // Chunk-id order, each chunk reconstructed in place into its slice of the
   // field buffer, one resident frame at a time.
   const FieldEntry& f = fields_[field];
   FieldDecode out;
   out.data.resize(f.dims.count());
-  out.chunk_seconds.reserve(f.chunks.size());
   for (std::size_t c = 0; c < f.chunks.size(); ++c) {
     const std::span<float> dest(out.data.data() + f.chunks[c].elem_offset,
                                 f.chunks[c].dims.count());
-    out.absorb_timings(decode_chunk_into(ctx, field, c, dest, decoder));
+    decode_chunk_into(field, c, dest);
   }
   return out;
 }
 
 PartialFieldDecode ArchiveReader::decode_field_partial(
-    cudasim::SimContext& ctx, std::size_t field,
-    const core::DecoderConfig& decoder) const {
+    std::size_t field) const {
   if (field >= fields_.size()) {
     throw ContainerError("field index out of range");
   }
@@ -569,13 +555,13 @@ PartialFieldDecode ArchiveReader::decode_field_partial(
     const std::span<float> dest(out.values.data() + rec.elem_offset,
                                 rec.dims.count());
     try {
-      decode_chunk_into(ctx, field, c, dest, decoder);
+      decode_chunk_into(field, c, dest);
       cr.status = ChunkStatus::Ok;
       out.report.elems_ok += cr.elem_count;
     } catch (const std::invalid_argument& e) {
-      // CRC mismatch, frame parse failure, or an exhausted retry budget:
-      // contain it to this chunk. The slice may hold a partial decode —
-      // never surface bytes that failed verification.
+      // CRC mismatch, frame parse or decode failure, or an exhausted retry
+      // budget: contain it to this chunk. The slice may hold a partial
+      // decode — never surface bytes that failed verification.
       cr.status = ChunkStatus::Corrupt;
       cr.detail = e.what();
       std::fill(dest.begin(), dest.end(), 0.0f);
@@ -596,25 +582,27 @@ PartialFieldDecode ArchiveReader::decode_field_partial(
   return out;
 }
 
-std::vector<float> ArchiveReader::decode_range(
-    cudasim::SimContext& ctx, std::size_t field, std::uint64_t elem_begin,
-    std::uint64_t elem_end, const core::DecoderConfig& decoder) const {
+std::vector<float> ArchiveReader::decode_range(std::size_t field,
+                                               std::uint64_t elem_begin,
+                                               std::uint64_t elem_end) const {
   require_complete(field);
   const FieldEntry& f = fields_[field];
   if (elem_begin > elem_end || elem_end > f.dims.count()) {
     throw ContainerError("element range out of bounds");
   }
   std::vector<float> out(elem_end - elem_begin);
+  std::vector<float> chunk_buf;
   for (std::size_t c = 0; c < f.chunks.size(); ++c) {
     const ChunkRecord& rec = f.chunks[c];
     const std::uint64_t chunk_begin = rec.elem_offset;
     const std::uint64_t chunk_end = chunk_begin + rec.dims.count();
     if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
-    const sz::DecompressionResult r = decode_chunk(ctx, field, c, decoder);
+    chunk_buf.resize(rec.dims.count());
+    decode_chunk_into(field, c, chunk_buf);
     const std::uint64_t lo = std::max(chunk_begin, elem_begin);
     const std::uint64_t hi = std::min(chunk_end, elem_end);
-    std::copy(r.data.begin() + static_cast<std::ptrdiff_t>(lo - chunk_begin),
-              r.data.begin() + static_cast<std::ptrdiff_t>(hi - chunk_begin),
+    std::copy(chunk_buf.begin() + static_cast<std::ptrdiff_t>(lo - chunk_begin),
+              chunk_buf.begin() + static_cast<std::ptrdiff_t>(hi - chunk_begin),
               out.begin() + static_cast<std::ptrdiff_t>(lo - elem_begin));
   }
   return out;

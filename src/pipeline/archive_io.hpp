@@ -133,22 +133,9 @@ class ArchiveWriter {
   bool finished_ = false;
 };
 
-/// Decoded field plus simulated timings aggregated in chunk-id order (the
-/// order that makes multi-threaded and sequential runs bit-identical).
+/// One decoded field, its chunks reconstructed in place by the host decode.
 struct FieldDecode {
   std::vector<float> data;
-  core::PhaseTimings huffman_phases;
-  double huffman_seconds = 0.0;
-  double reverse_lorenzo_seconds = 0.0;
-  double outlier_scatter_seconds = 0.0;
-  double simulated_seconds = 0.0;     // sum over chunks, chunk-id order
-  std::vector<double> chunk_seconds;  // per-chunk simulated cost
-
-  /// Merges one decoded chunk's timings. The chunk's floats are not copied
-  /// here: both decode_field and the batch scheduler reconstruct each chunk
-  /// straight into its slice of `data` via decode_chunk_into before
-  /// merging. Call in chunk-id order to keep runs bit-identical.
-  void absorb_timings(const sz::DecompressionResult& chunk);
 };
 
 struct ReaderOptions {
@@ -237,43 +224,39 @@ class ArchiveReader {
   std::vector<std::uint8_t> read_frame_unverified(std::size_t field,
                                                   std::size_t chunk) const;
 
-  /// Decodes ONE chunk — fetch, checksum, frame parse, decompression —
-  /// without reading any other frame's bytes.
+  /// Decodes ONE chunk on the SIMULATED GPU — fetch, checksum, frame parse,
+  /// sz::decompress — without reading any other frame's bytes. The returned
+  /// floats are bit-identical to the host decode below; its per-stage
+  /// simulated seconds are what the paper benches and the batch makespan
+  /// (cudasim/timeline.hpp) consume. Serving never calls it.
   sz::DecompressionResult decode_chunk(
       cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
       const core::DecoderConfig& decoder = {}) const;
 
-  /// Fused variant: reconstructs the chunk's floats straight into `out`
-  /// (sized to the CHUNK's element count — typically a subspan of the field
-  /// buffer at the chunk's elem_offset) via sz::decompress_into; the
-  /// returned result carries timings only. This is the write path
-  /// decode_field and the batch scheduler use, so a chunk's floats are
-  /// written once, in place, with no per-chunk vector or merge copy.
-  sz::DecompressionResult decode_chunk_into(
-      cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
-      std::span<float> out, const core::DecoderConfig& decoder = {}) const;
+  /// Host decode of ONE chunk — fetch, checksum, frame parse,
+  /// sz::fused_decode_reconstruct — straight into `out` (sized to the
+  /// CHUNK's element count, typically a subspan of the field buffer at the
+  /// chunk's elem_offset), so a chunk's floats are written once, in place.
+  /// Every serving decode below and in the batch scheduler goes through it.
+  void decode_chunk_into(std::size_t field, std::size_t chunk,
+                         std::span<float> out) const;
 
   /// Decodes a whole field chunk by chunk in chunk-id order, one resident
   /// frame at a time. Throws on a salvaged-incomplete field.
-  FieldDecode decode_field(cudasim::SimContext& ctx, std::size_t field,
-                           const core::DecoderConfig& decoder = {}) const;
+  FieldDecode decode_field(std::size_t field) const;
 
   /// Degraded decode: reconstructs every chunk whose frame is intact,
   /// zero-fills and reports the rest (Missing holes for chunks the salvage
   /// never recovered, Corrupt for frames failing CRC or decode). Works on
   /// strict readers too — there it quarantines payload corruption the index
   /// did not protect against.
-  PartialFieldDecode decode_field_partial(
-      cudasim::SimContext& ctx, std::size_t field,
-      const core::DecoderConfig& decoder = {}) const;
+  PartialFieldDecode decode_field_partial(std::size_t field) const;
 
   /// Decodes only the chunks overlapping [elem_begin, elem_end) and returns
   /// exactly that element range. (BatchScheduler::decode_range is the
   /// prefetching parallel variant.)
-  std::vector<float> decode_range(cudasim::SimContext& ctx, std::size_t field,
-                                  std::uint64_t elem_begin,
-                                  std::uint64_t elem_end,
-                                  const core::DecoderConfig& decoder = {}) const;
+  std::vector<float> decode_range(std::size_t field, std::uint64_t elem_begin,
+                                  std::uint64_t elem_end) const;
 
   /// Streams every frame once and verifies its CRC-32 without decoding;
   /// throws ContainerError naming the first corrupted field/chunk (or the

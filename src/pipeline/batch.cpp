@@ -11,19 +11,6 @@
 
 namespace ohd::pipeline {
 
-double BatchDecompressResult::makespan(std::size_t workers) const {
-  if (workers == 0) workers = 1;
-  std::vector<double> busy(workers, 0.0);
-  for (double s : chunk_seconds) {
-    std::size_t w = 0;
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      if (busy[i] < busy[w]) w = i;
-    }
-    busy[w] += s;
-  }
-  return *std::max_element(busy.begin(), busy.end());
-}
-
 namespace {
 
 // Scheduler-wide aggregates; per-chunk task latencies record from worker
@@ -277,7 +264,7 @@ std::vector<std::uint8_t> BatchScheduler::compress(
 }
 
 BatchDecompressResult BatchScheduler::decompress(
-    const ArchiveReader& reader, const core::DecoderConfig& decoder,
+    const ArchiveReader& reader, const core::DecoderConfig&,
     const CancelToken& cancel) const {
   // Strict mode: refuse salvaged readers with holes up front, before any
   // task runs — the fan-out would otherwise decode the recovered chunks and
@@ -289,20 +276,17 @@ BatchDecompressResult BatchScheduler::decompress(
                            "' was salvaged incomplete; use decompress_partial");
     }
   }
-  // Fan out, then collect in deterministic (field, chunk) order via the
-  // same chunk-merge path the sequential decode_field uses. Every field
+  // Fan out, then collect in deterministic (field, chunk) order. Every field
   // buffer is allocated BEFORE the fan-out and each task fetches its frame
-  // and reconstructs its chunk straight into its (disjoint) slice via the
-  // fused decode-write path, so frame IO overlaps other tasks' decode and
-  // floats are written once, in place, by whichever worker decodes the
-  // chunk — bit-identical for any worker count, with no per-chunk float
-  // vector or merge copy. On any failure — a submit throw or a CRC mismatch
-  // surfacing through get() — wait out the remaining tasks before
-  // unwinding: they still reference `reader`, `decoder`, and the output
-  // buffers.
+  // and reconstructs its chunk straight into its (disjoint) slice, so frame
+  // IO overlaps other tasks' decode and floats are written once, in place,
+  // by whichever worker decodes the chunk — bit-identical for any worker
+  // count, with no per-chunk float vector or merge copy. On any failure — a
+  // submit throw or a CRC mismatch surfacing through get() — wait out the
+  // remaining tasks before unwinding: they still reference `reader` and the
+  // output buffers.
   const obs::ScopedOp batch_op("batch.decompress");
-  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
-      fields.size());
+  std::vector<std::vector<std::future<void>>> futures(fields.size());
   BatchDecompressResult out;
   out.fields.resize(fields.size());
   for (std::size_t fi = 0; fi < fields.size(); ++fi) {
@@ -326,54 +310,39 @@ BatchDecompressResult BatchScheduler::decompress(
         const std::span<float> dest(
             out.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
-        futures[fi].push_back(
-            pool_.submit([&reader, &decoder, &cancel, fi, ci, dest] {
-              cancel.throw_if_cancelled();
-              // Fetch + decode + reconstruct of one chunk: the reader's own
-              // "reader.frame_fetch" span nests under this one.
-              const obs::ScopedOp op(
-                  "batch.decode",
-                  obs::enabled() ? &batch_metrics().decode_ns : nullptr);
-              cudasim::SimContext ctx;
-              return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
-            }));
+        futures[fi].push_back(pool_.submit([&reader, &cancel, fi, ci, dest] {
+          cancel.throw_if_cancelled();
+          // Fetch + decode + reconstruct of one chunk: the reader's own
+          // "reader.frame_fetch" span nests under this one.
+          const obs::ScopedOp op(
+              "batch.decode",
+              obs::enabled() ? &batch_metrics().decode_ns : nullptr);
+          reader.decode_chunk_into(fi, ci, dest);
+        }));
       }
     }
-    for (std::size_t fi = 0; fi < fields.size(); ++fi) {
-      const FieldEntry& entry = fields[fi];
-      FieldResult& field = out.fields[fi];
-      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
-        field.decode.absorb_timings(futures[fi][ci].get());
-      }
-      out.phases += field.decode.huffman_phases;
-      out.simulated_seconds += field.decode.simulated_seconds;
-      out.chunk_seconds.insert(out.chunk_seconds.end(),
-                               field.decode.chunk_seconds.begin(),
-                               field.decode.chunk_seconds.end());
+    for (auto& field_futures : futures) {
+      for (auto& fut : field_futures) fut.get();
     }
   } catch (...) {
     for (auto& field_futures : futures) wait_all(field_futures);
     throw;
   }
-  if (obs::enabled()) {
-    obs::absorb_phase_timings(obs::registry(), out.phases);
-  }
   return out;
 }
 
 PartialBatchDecompress BatchScheduler::decompress_partial(
-    const ArchiveReader& reader, const core::DecoderConfig& decoder) const {
+    const ArchiveReader& reader) const {
   // Same pre-allocated fan-out shape as decompress, but collection
-  // quarantines per chunk: a future surfacing a CRC/parse/retry-exhaustion
-  // failure marks its chunk Corrupt and re-zeroes its slice instead of
-  // aborting the batch, and salvage holes become Missing entries. The
-  // report is assembled on the collecting thread in (field, chunk) order,
-  // so it — like the floats and timings — is identical for any worker
-  // count.
+  // quarantines per chunk: a future surfacing a CRC/parse/decode/retry-
+  // exhaustion failure marks its chunk Corrupt and re-zeroes its slice
+  // instead of aborting the batch, and salvage holes become Missing
+  // entries. The report is assembled on the collecting thread in
+  // (field, chunk) order, so it — like the floats — is identical for any
+  // worker count.
   PartialBatchDecompress out;
   BatchDecompressResult& res = out.result;
-  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
-      reader.fields().size());
+  std::vector<std::vector<std::future<void>>> futures(reader.fields().size());
   res.fields.resize(reader.fields().size());
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
     res.fields[fi].name = reader.fields()[fi].name;
@@ -387,12 +356,11 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
         const std::span<float> dest(
             res.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
-        futures[fi].push_back(pool_.submit([&reader, &decoder, fi, ci, dest] {
+        futures[fi].push_back(pool_.submit([&reader, fi, ci, dest] {
           const obs::ScopedOp op(
               "batch.decode",
               obs::enabled() ? &batch_metrics().decode_ns : nullptr);
-          cudasim::SimContext ctx;
-          return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
+          reader.decode_chunk_into(fi, ci, dest);
         }));
       }
     }
@@ -422,7 +390,7 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
         cr.elem_offset = rec.elem_offset;
         cr.elem_count = rec.dims.count();
         try {
-          field.decode.absorb_timings(futures[fi][ci].get());
+          futures[fi][ci].get();
           cr.status = ChunkStatus::Ok;
           fr.elems_ok += cr.elem_count;
         } catch (const std::invalid_argument& e) {
@@ -448,11 +416,6 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
         fr.chunks.push_back(std::move(hole));
       }
       out.report.fields.push_back(std::move(fr));
-      res.phases += field.decode.huffman_phases;
-      res.simulated_seconds += field.decode.simulated_seconds;
-      res.chunk_seconds.insert(res.chunk_seconds.end(),
-                               field.decode.chunk_seconds.begin(),
-                               field.decode.chunk_seconds.end());
     }
   } catch (...) {
     for (auto& field_futures : futures) wait_all(field_futures);
@@ -463,7 +426,7 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
 
 std::vector<float> BatchScheduler::decode_range(
     const ArchiveReader& reader, std::size_t field, std::uint64_t elem_begin,
-    std::uint64_t elem_end, const core::DecoderConfig& decoder,
+    std::uint64_t elem_end, const core::DecoderConfig&,
     const CancelToken& cancel) const {
   const std::vector<FieldEntry>& fields = reader.fields();
   if (field >= fields.size()) {
@@ -477,7 +440,7 @@ std::vector<float> BatchScheduler::decode_range(
   std::vector<float> out(elem_end - elem_begin);
 
   // One entry per overlapping chunk, in chunk order. Interior chunks decode
-  // straight into their slice of `out` (fused write); boundary chunks decode
+  // straight into their slice of `out`; boundary chunks decode
   // to a task-local vector whose window is copied during the ordered merge.
   struct Window {
     std::size_t chunk = 0;
@@ -540,30 +503,27 @@ std::vector<float> BatchScheduler::decode_range(
       if (w.interior) {
         const std::span<float> dest(out.data() + (chunk_begin - elem_begin),
                                     rec.dims.count());
-        futures.push_back(
-            pool_.submit([&f, c, frame, dest, &decoder, &cancel]() mutable {
-              cancel.throw_if_cancelled();
-              cudasim::SimContext ctx;
-              const sz::CompressedBlob blob =
-                  wire::parse_chunk_frame(f, c, frame->bytes);
-              // The blob owns its data: drop the frame (and its residency
-              // lease) before the decode, and before the future can become
-              // ready.
-              frame.reset();
-              sz::decompress_into(ctx, blob, dest, decoder);
-              return std::vector<float>();
-            }));
+        futures.push_back(pool_.submit([&f, c, frame, dest, &cancel]() mutable {
+          cancel.throw_if_cancelled();
+          const sz::CompressedBlob blob =
+              wire::parse_chunk_frame(f, c, frame->bytes);
+          // The blob owns its data: drop the frame (and its residency
+          // lease) before the decode, and before the future can become
+          // ready.
+          frame.reset();
+          sz::fused_decode_reconstruct(blob, dest);
+          return std::vector<float>();
+        }));
       } else {
-        futures.push_back(
-            pool_.submit([&f, c, frame, &decoder, &cancel]() mutable {
-              cancel.throw_if_cancelled();
-              cudasim::SimContext ctx;
-              const sz::CompressedBlob blob =
-                  wire::parse_chunk_frame(f, c, frame->bytes);
-              frame.reset();
-              sz::DecompressionResult r = sz::decompress(ctx, blob, decoder);
-              return std::move(r.data);
-            }));
+        futures.push_back(pool_.submit([&f, c, frame, &cancel]() mutable {
+          cancel.throw_if_cancelled();
+          const sz::CompressedBlob blob =
+              wire::parse_chunk_frame(f, c, frame->bytes);
+          frame.reset();
+          std::vector<float> floats(blob.dims.count());
+          sz::fused_decode_reconstruct(blob, floats);
+          return floats;
+        }));
       }
       windows.push_back(w);
     }

@@ -1,9 +1,6 @@
 // BatchScheduler: runs compress/decompress of many chunks and fields
 // concurrently on a ThreadPool, with every merge ordered by chunk id so a run
-// with N workers is bit-identical — floats, aggregated PhaseTimings, and the
-// merged simulated timeline — to the sequential run. Each chunk task owns a
-// fresh cudasim::SimContext, so simulated timings are a pure function of the
-// chunk, never of scheduling.
+// with N workers is bit-identical to the sequential run.
 //
 // Both directions are built on the streaming archive sessions
 // (pipeline/archive_io.hpp): compress_to emits frames into an ArchiveWriter
@@ -12,13 +9,11 @@
 // and decompression overlap IO with compute instead of serializing behind a
 // whole-archive memory image.
 //
-// Two notions of parallelism live here, deliberately separate:
-//  * the ThreadPool parallelizes the HOST-side functional simulation (real
-//    wall-clock speedup on multicore machines);
-//  * makespan() list-schedules the per-chunk SIMULATED costs onto N virtual
-//    GPU workers (greedy, chunk-id order, earliest-available worker, lowest
-//    id on ties) — the deterministic, machine-independent batch-throughput
-//    number bench/pipeline_throughput.cpp sweeps.
+// Every decode here is the host decode (sz::fused_decode_reconstruct); the
+// pool gives real wall-clock speedup on multicore machines. The simulated
+// GPU is reached per chunk through ArchiveReader::decode_chunk, and
+// cudasim::makespan (cudasim/timeline.hpp) list-schedules those per-chunk
+// simulated costs onto N virtual GPUs for bench/pipeline_throughput.cpp.
 #pragma once
 
 #include <cstddef>
@@ -52,18 +47,11 @@ struct FieldSpec {
 
 struct FieldResult {
   std::string name;
-  FieldDecode decode;  // floats + timings merged in chunk-id order
+  FieldDecode decode;  // floats, every chunk decoded in place
 };
 
 struct BatchDecompressResult {
   std::vector<FieldResult> fields;
-  core::PhaseTimings phases;          // summed field-major, chunk-id order
-  double simulated_seconds = 0.0;     // sum over all chunks
-  std::vector<double> chunk_seconds;  // per chunk, global chunk-id order
-
-  /// Simulated batch makespan on `workers` virtual GPUs (greedy list
-  /// schedule over chunk_seconds in chunk-id order).
-  double makespan(std::size_t workers) const;
 };
 
 /// Result of the degraded (quarantining) batch decompress: the decoded
@@ -104,37 +92,36 @@ class BatchScheduler {
   std::vector<std::uint8_t> compress(std::span<const FieldSpec> specs,
                                      const CancelToken& cancel = {}) const;
 
-  /// Decompresses every chunk of every field concurrently; per-field floats
-  /// and all timing aggregates are merged in chunk-id order. Every chunk
-  /// task lazily fetches its frame from the reader's ByteSource and decodes
-  /// it into its slice of the preallocated field buffer, so frame IO
-  /// overlaps decode across workers and peak archive residency stays at
+  /// Decompresses every chunk of every field concurrently. Every chunk task
+  /// lazily fetches its frame from the reader's ByteSource and decodes it
+  /// into its slice of the preallocated field buffer, so frame IO overlaps
+  /// decode across workers and peak archive residency stays at
   /// reader.resident_bytes() plus at most one in-flight frame per worker —
   /// the archive bytes are never materialized. STRICT (the default mode):
   /// throws on the first corrupted frame and on salvaged readers holding
   /// incomplete fields — degraded decode is the explicit opt-in below.
+  /// The DecoderConfig is ignored (the host decode has no knobs); the served
+  /// path's ledger still passes one.
   BatchDecompressResult decompress(const ArchiveReader& reader,
-                                   const core::DecoderConfig& decoder = {},
+                                   const core::DecoderConfig& = {},
                                    const CancelToken& cancel = {}) const;
 
   /// Degraded (opt-in) decompress: same parallel fan-out, but damage is
   /// contained per chunk instead of aborting the batch — a chunk whose frame
-  /// is missing (salvaged hole) or fails CRC/decode is zero-filled and
-  /// reported, never surfaced. Timings aggregate over the Ok chunks only,
-  /// merged in chunk-id order (bit-identical for any worker count).
-  PartialBatchDecompress decompress_partial(
-      const ArchiveReader& reader,
-      const core::DecoderConfig& decoder = {}) const;
+  /// is missing (salvaged hole) or fails CRC/parse/decode is zero-filled and
+  /// reported, never surfaced. The report is identical for any worker count.
+  PartialBatchDecompress decompress_partial(const ArchiveReader& reader) const;
 
   /// Prefetching async range decode: the calling thread fetches the frames
   /// of the chunks overlapping [elem_begin, elem_end) in chunk order (IO)
   /// while decode tasks for already-fetched frames run on the pool, so the
   /// fetch of chunk c+1 overlaps the decode of chunk c. Results merge in
-  /// chunk order — bit-identical to ArchiveReader::decode_range.
+  /// chunk order — bit-identical to ArchiveReader::decode_range. The
+  /// DecoderConfig is ignored, as in decompress.
   std::vector<float> decode_range(const ArchiveReader& reader,
                                   std::size_t field, std::uint64_t elem_begin,
                                   std::uint64_t elem_end,
-                                  const core::DecoderConfig& decoder = {},
+                                  const core::DecoderConfig& = {},
                                   const CancelToken& cancel = {}) const;
 
   /// Decode-only batch over raw encoded streams (covers the decode-only

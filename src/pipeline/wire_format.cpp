@@ -194,6 +194,14 @@ FieldEntry read_field_entry(util::ByteReader& r) {
     if (rec.payload_bytes == 0) {
       throw ContainerError("empty chunk frame in container index");
     }
+    // Every element is one Huffman symbol of at least 1 bit, so a frame of
+    // B bytes decodes at most 8 * B elements: bound the declared count
+    // before anything is sized from it.
+    if (rec.dims.count() / 8 + (rec.dims.count() % 8 != 0) >
+        rec.payload_bytes) {
+      throw ContainerError("chunk declares more elements than its frame "
+                           "can encode");
+    }
     if (rec.elem_offset != next_elem) {
       throw ContainerError("chunk element offsets are not contiguous");
     }

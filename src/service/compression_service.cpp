@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "cudasim/exec.hpp"
 #include "obs/trace.hpp"
 
 namespace ohd::service {
@@ -135,14 +134,18 @@ std::size_t decompress_cost(const pipeline::ArchiveReader& reader) {
   return total;
 }
 
-std::size_t chunk_cost(const pipeline::ArchiveReader& reader,
-                       std::size_t field, std::size_t chunk) {
+std::size_t chunk_elems(const pipeline::ArchiveReader& reader,
+                        std::size_t field, std::size_t chunk) {
   const auto& fields = reader.fields();
   if (field >= fields.size() || chunk >= fields[field].chunks.size()) {
     return 0;
   }
-  return static_cast<std::size_t>(fields[field].chunks[chunk].dims.count()) *
-         sizeof(float);
+  return static_cast<std::size_t>(fields[field].chunks[chunk].dims.count());
+}
+
+std::size_t chunk_cost(const pipeline::ArchiveReader& reader,
+                       std::size_t field, std::size_t chunk) {
+  return chunk_elems(reader, field, chunk) * sizeof(float);
 }
 
 std::size_t range_cost(std::uint64_t elem_begin, std::uint64_t elem_end) {
@@ -307,6 +310,7 @@ RequestId CompressionService::admit(RequestClass cls,
     // Admitted: from here to push nothing throws, so acquired slot/bytes
     // are always matched by run_counted()'s release inside the request body.
     state->id = next_request_id_++;
+    state->cls = cls;
     id = state->id;
     live_.emplace(id, state);
     accepted_.add(1);
@@ -362,10 +366,7 @@ void CompressionService::dispatcher_loop() {
     if (req.enqueue_ns != 0) {
       service_metrics().queue_wait[ci]->record(obs::now_ns() - req.enqueue_ns);
     }
-    {
-      obs::ScopedOp op(span_name(req.cls), service_metrics().latency[ci]);
-      req.run();  // packaged_task: request exceptions land in the future
-    }
+    req.run();  // packaged_task: request exceptions land in the future
   }
 }
 
@@ -442,7 +443,15 @@ auto CompressionService::run_counted(RequestState& state, Fn&& fn)
     live_.erase(state.id);
   };
   try {
-    auto result = fn();
+    throw_verdict(state);
+    auto result = [&] {
+      // The latency span closes here, before the packaged task fulfils the
+      // future, so a snapshot taken right after .get() holds this request.
+      const obs::ScopedOp op(
+          span_name(state.cls),
+          service_metrics().latency[static_cast<std::size_t>(state.cls)]);
+      return fn();
+    }();
     completed_.add(1);
     if (obs::enabled()) service_metrics().completed.add(1);
     finish();
@@ -510,7 +519,6 @@ Submission<CompressResult> CompressionService::submit_compress(
   auto task = std::make_shared<std::packaged_task<CompressResult()>>(
       [this, state, job = std::move(job)] {
         return run_counted(*state, [&] {
-          throw_verdict(*state);
           try {
             return run_compress(*state->client, job, state->cancel);
           } catch (const pipeline::OperationCancelled&) {
@@ -539,7 +547,6 @@ CompressionService::submit_decompress(ClientId id, ArchiveHandle archive,
       std::make_shared<std::packaged_task<pipeline::BatchDecompressResult()>>(
           [this, state, entry] {
             return run_counted(*state, [&] {
-              throw_verdict(*state);
               try {
                 return scheduler_.decompress(entry->reader,
                                              state->client->options().decoder,
@@ -568,17 +575,15 @@ Submission<std::vector<float>> CompressionService::submit_chunk(
   auto task = std::make_shared<std::packaged_task<std::vector<float>()>>(
       [this, state, entry, field, chunk] {
         return run_counted(*state, [&] {
-          throw_verdict(*state);
           // One chunk decodes on the dispatcher thread itself — the request
           // IS the unit of work, so bouncing it through the pool would only
           // add queueing latency. (A single chunk has no interior task
           // boundary, so a running chunk request finishes even if
-          // signalled.)
-          cudasim::SimContext ctx;
-          return entry->reader
-              .decode_chunk(ctx, field, chunk,
-                            state->client->options().decoder)
-              .data;
+          // signalled.) An invalid index sizes `out` empty and throws in
+          // decode_chunk_into.
+          std::vector<float> out(chunk_elems(entry->reader, field, chunk));
+          entry->reader.decode_chunk_into(field, chunk, out);
+          return out;
         });
       });
   Submission<std::vector<float>> out;
@@ -598,7 +603,6 @@ Submission<std::vector<float>> CompressionService::submit_range(
   auto task = std::make_shared<std::packaged_task<std::vector<float>()>>(
       [this, state, entry, field, elem_begin, elem_end] {
         return run_counted(*state, [&] {
-          throw_verdict(*state);
           try {
             return scheduler_.decode_range(entry->reader, field, elem_begin,
                                            elem_end,

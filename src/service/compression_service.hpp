@@ -215,6 +215,7 @@ class CompressionService {
   struct RequestState {
     RequestId id = 0;
     Priority priority = Priority::Batch;
+    RequestClass cls = RequestClass::Compress;  // set by admit()
     std::uint64_t deadline_ns = 0;  // 0 = none
     std::size_t bytes = 0;          // admitted against the client quota
     CancellationToken cancel;       // always live (make()d when caller's inert)
@@ -242,14 +243,16 @@ class CompressionService {
   /// refreshes the per-class queue-age gauges; runs while paused.
   void sweeper_loop();
 
-  /// The verdict gate at the top of every request body: throws
+  /// The verdict gate run_counted passes before every request body: throws
   /// ServiceOverloaded (shed), RequestCancelled, or DeadlineExceeded.
   void throw_verdict(const RequestState& state) const;
 
-  /// Runs a request body, classifying the outcome into exactly one of
-  /// completed/failed/cancelled/expired/shed and releasing the client's
-  /// slot + bytes and the live_ entry before the surrounding packaged_task
-  /// fulfills the future (so stats() observed after a .get() is exact).
+  /// Runs a request body behind the verdict gate, records its
+  /// "service.<op>" span and latency, classifies the outcome into exactly
+  /// one of completed/failed/cancelled/expired/shed, and releases the
+  /// client's slot + bytes and the live_ entry — all before the surrounding
+  /// packaged_task fulfills the future (so stats() and registry snapshots
+  /// observed after a .get() are exact).
   template <typename Fn>
   auto run_counted(RequestState& state, Fn&& fn) -> decltype(fn());
 

@@ -155,14 +155,6 @@ core::DecodeResult run_simulated_stages(cudasim::SimContext& ctx,
   return decoded;
 }
 
-/// The fused write path applies when the blob is 1-D (the streaming sink
-/// carries the whole predictor neighborhood in one register) and the config
-/// has not opted out.
-bool fused_write_applies(const CompressedBlob& blob,
-                         const core::DecoderConfig& decoder_config) {
-  return decoder_config.use_fused_write && blob.dims.rank == 1;
-}
-
 }  // namespace
 
 DecompressionResult decompress(cudasim::SimContext& ctx,
@@ -172,19 +164,8 @@ DecompressionResult decompress(cudasim::SimContext& ctx,
   DecompressionResult result;
   const core::DecodeResult decoded =
       run_simulated_stages(ctx, blob, decoder_config, simulate_h2d, result);
-  if (fused_write_applies(blob, decoder_config)) {
-    // Fused write: one pass over the decoded codes, dequantize + 1-D
-    // Lorenzo straight into the result buffer (no int64 lattice vector).
-    result.data.resize(blob.dims.count());
-    Lorenzo1DSink sink(result.data, blob.outliers, blob.abs_error_bound,
-                       blob.radius);
-    for (const std::uint16_t code : decoded.symbols) sink(code);
-    sink.finish();
-  } else {
-    result.data = lorenzo_reconstruct(decoded.symbols, blob.outliers,
-                                      blob.dims, blob.abs_error_bound,
-                                      blob.radius);
-  }
+  result.data = lorenzo_reconstruct(decoded.symbols, blob.outliers, blob.dims,
+                                    blob.abs_error_bound, blob.radius);
   return result;
 }
 
@@ -200,26 +181,15 @@ DecompressionResult decompress_into(cudasim::SimContext& ctx,
   DecompressionResult result;
   const core::DecodeResult decoded =
       run_simulated_stages(ctx, blob, decoder_config, simulate_h2d, result);
-  if (fused_write_applies(blob, decoder_config)) {
-    Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
-    for (const std::uint16_t code : decoded.symbols) sink(code);
-    sink.finish();
-  } else {
-    const std::vector<float> recon =
-        lorenzo_reconstruct(decoded.symbols, blob.outliers, blob.dims,
-                            blob.abs_error_bound, blob.radius);
-    std::copy(recon.begin(), recon.end(), out.begin());
-  }
+  const std::vector<float> recon =
+      lorenzo_reconstruct(decoded.symbols, blob.outliers, blob.dims,
+                          blob.abs_error_bound, blob.radius);
+  std::copy(recon.begin(), recon.end(), out.begin());
   return result;
 }
 
 void fused_decode_reconstruct(const CompressedBlob& blob,
                               std::span<float> out) {
-  if (blob.dims.rank != 1) {
-    throw std::invalid_argument(
-        "the fused decode-write sink is 1-D only; rank-2/3 blobs need the "
-        "staged reconstruct");
-  }
   if (out.size() != blob.dims.count()) {
     throw std::invalid_argument(
         "destination size does not match blob dimensions");
@@ -229,10 +199,23 @@ void fused_decode_reconstruct(const CompressedBlob& blob,
         "the 8-bit gap-array baseline cannot reconstruct multi-byte "
         "quantization codes; it exists for decode benchmarking only");
   }
-  Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
-  core::host_decode_symbols(blob.encoded,
-                            [&sink](std::uint16_t code) { sink(code); });
-  sink.finish();
+  if (blob.dims.rank == 1) {
+    Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
+    core::host_decode_symbols(blob.encoded,
+                              [&sink](std::uint16_t code) { sink(code); });
+    sink.finish();
+    return;
+  }
+  // Ranks 2/3: the predictor reads neighbours from earlier rows and planes,
+  // so the codes are staged in a vector and reconstructed in one pass.
+  std::vector<std::uint16_t> codes;
+  codes.reserve(out.size());
+  core::host_decode_symbols(
+      blob.encoded, [&codes](std::uint16_t code) { codes.push_back(code); });
+  const std::vector<float> recon =
+      lorenzo_reconstruct(codes, blob.outliers, blob.dims,
+                          blob.abs_error_bound, blob.radius);
+  std::copy(recon.begin(), recon.end(), out.begin());
 }
 
 }  // namespace ohd::sz

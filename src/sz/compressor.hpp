@@ -3,8 +3,9 @@
 //   compress:   Lorenzo predict + quantize  ->  Huffman encode (per method)
 //   decompress: Huffman decode (per method) ->  reverse Lorenzo
 //
-// Decompression charges the simulated GPU timeline for every stage, which is
-// what the end-to-end experiments (paper Figures 4 and 5) measure.
+// decompress/decompress_into charge the simulated GPU timeline for every
+// stage, which is what the end-to-end experiments (paper Figures 4 and 5)
+// measure; fused_decode_reconstruct is the host decode that serves requests.
 #pragma once
 
 #include <cstdint>
@@ -114,10 +115,9 @@ CompressedBlob encode_quantized(QuantizedField&& q, core::Method method,
 /// Decompresses on the simulated GPU. When `simulate_h2d` is set, the
 /// compressed payload is first "copied" host-to-device over the PCIe model
 /// (Figure 5's scenario); otherwise data is assumed device-resident
-/// (in-memory compression, Figure 4). Rank-1 blobs take the fused
-/// decode-write path (decoded codes stream through dequantize + 1-D Lorenzo
-/// straight into the result buffer) unless
-/// `decoder_config.use_fused_write` is off; floats are identical either way.
+/// (in-memory compression, Figure 4). Reconstruction always runs the staged
+/// lorenzo_reconstruct, the reference fused_decode_reconstruct is pinned
+/// against.
 DecompressionResult decompress(cudasim::SimContext& ctx,
                                const CompressedBlob& blob,
                                const core::DecoderConfig& decoder_config = {},
@@ -125,20 +125,21 @@ DecompressionResult decompress(cudasim::SimContext& ctx,
 
 /// Decompress-into variant: identical simulated timings, but the floats land
 /// in caller-owned memory (`out.size() == blob.dims.count()`) and the
-/// returned result's `data` stays empty. This is the pipeline chunk-decode
-/// entry point: each chunk reconstructs straight into its slice of the field
-/// buffer, with no per-chunk float vector or merge copy.
+/// returned result's `data` stays empty.
 DecompressionResult decompress_into(cudasim::SimContext& ctx,
                                     const CompressedBlob& blob,
                                     std::span<float> out,
                                     const core::DecoderConfig& decoder_config = {},
                                     bool simulate_h2d = false);
 
-/// Fully fused HOST decode→dequantize→reconstruct for rank-1 blobs: Huffman-
-/// decodes the quant codes with the multi-symbol LUT and streams each one
-/// through dequantize + 1-D Lorenzo straight into `out` — no simulation, no
-/// intermediate quant-code vector, one pass instead of three. Float-exact
-/// vs decompress(); throws for rank-2/3 blobs and the 8-bit gap baseline.
+/// The HOST decode every served request runs, for any rank: Huffman-decodes
+/// the quant codes with the multi-symbol LUT (no simulation) and
+/// reconstructs into `out` (`out.size() == blob.dims.count()`). Rank-1 codes
+/// stream through dequantize + 1-D Lorenzo straight into `out`, with no
+/// intermediate quant-code vector; rank-2/3 codes are staged in a vector for
+/// lorenzo_reconstruct. Float-exact vs decompress(); throws
+/// std::invalid_argument on malformed streams and for the 8-bit gap
+/// baseline.
 void fused_decode_reconstruct(const CompressedBlob& blob, std::span<float> out);
 
 }  // namespace ohd::sz

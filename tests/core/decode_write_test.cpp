@@ -212,7 +212,7 @@ TEST(HostDecodeSymbols, ThrowsOnDesynchronizedStream) {
   std::vector<std::uint16_t> sunk;
   EXPECT_THROW(
       host_decode_symbols(enc, [&](std::uint16_t s) { sunk.push_back(s); }),
-      std::runtime_error);
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -25,8 +25,11 @@
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "pipeline/archive_io.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "service/compression_service.hpp"
+#include "sz/compressor.hpp"
+#include "sz/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::net {
@@ -227,6 +230,45 @@ TEST(ServiceWire, CorruptArchiveUploadMapsToArchiveCode) {
     EXPECT_EQ(e.code(), static_cast<std::uint16_t>(WireErrorCode::Archive));
   }
   // The connection survives an Archive-level reject.
+  client.ping();
+}
+
+TEST(ServiceWire, HugeDeclaredFieldUploadMapsToArchiveCode) {
+  // A 600-element frame whose blob and index both declare 2^33 elements,
+  // with every CRC valid: the open must reject the index (a frame of B bytes
+  // encodes at most 8 * B elements) instead of admitting an archive whose
+  // Decompress would size a 32 GB buffer.
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::SelfSyncOptimized;
+  sz::CompressedBlob blob =
+      sz::compress(wavy_field(600, 23), sz::Dims::d1(600), cfg);
+  const std::uint64_t huge = std::uint64_t{1} << 33;
+  blob.dims = sz::Dims::d1(huge);
+  blob.encoded.num_symbols = huge;
+  std::get<huffman::StreamEncoding>(blob.encoded.payload).num_symbols = huge;
+  pipeline::MemorySink sink;
+  pipeline::ArchiveWriter writer(sink);
+  pipeline::ArchiveFieldSpec spec;
+  spec.name = "hostile";
+  spec.dims = blob.dims;
+  spec.abs_error_bound = blob.abs_error_bound;
+  spec.radius = blob.radius;
+  spec.method = cfg.method;
+  writer.begin_field(spec);
+  writer.write_chunk(pipeline::ChunkExtent{0, blob.dims},
+                     sz::serialize_blob(blob));
+  writer.end_field();
+  writer.finish();
+
+  service::CompressionService svc(small_service_config());
+  ServiceServer server(svc, {});
+  ServiceClient client(client_config(server.endpoints()[0]));
+  try {
+    client.open_archive(sink.bytes());
+    FAIL() << "opened an archive declaring 2^33 elements";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), static_cast<std::uint16_t>(WireErrorCode::Archive));
+  }
   client.ping();
 }
 

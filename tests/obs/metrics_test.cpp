@@ -248,24 +248,6 @@ TEST(Snapshot, EmptyRegistryJsonIsWellFormed) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST(AbsorbPhaseTimings, BridgesRowsToCounters) {
-  MetricsRegistry reg;
-  core::PhaseTimings t;
-  t.decode_write_s = 0.25;
-  t.tune_s = 0.5;
-  absorb_phase_timings(reg, t);
-  const Snapshot snap = reg.snapshot();
-  ASSERT_NE(snap.counter("decode.phase.decode_write_ns"), nullptr);
-  EXPECT_EQ(snap.counter("decode.phase.decode_write_ns")->value, 250000000u);
-  EXPECT_EQ(snap.counter("decode.phase.tune_ns")->value, 500000000u);
-  // Zero phases are skipped, not registered as zero counters.
-  EXPECT_EQ(snap.counter("decode.phase.other_ns"), nullptr);
-  // Absorbing again accumulates (counter semantics).
-  absorb_phase_timings(reg, t);
-  EXPECT_EQ(reg.snapshot().counter("decode.phase.tune_ns")->value,
-            1000000000u);
-}
-
 TEST(EnableFlag, ScopedOpIsNoOpWhileDisabled) {
   const bool was = enabled();
   set_enabled(false);

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -200,11 +201,9 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
 
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
     EXPECT_EQ(reader.field_index(reader.fields()[fi].name), fi);
-    cudasim::SimContext c1, c2;
-    const FieldDecode a = reader.decode_field(c1, fi);
-    const FieldDecode b = reparsed.decode_field(c2, fi);
+    const FieldDecode a = reader.decode_field(fi);
+    const FieldDecode b = reparsed.decode_field(fi);
     EXPECT_EQ(a.data, b.data) << "field " << fi;
-    EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
     const auto stats = sz::compute_error_stats(corpus.storage[fi], a.data);
     EXPECT_LE(stats.max_abs_error,
               reader.fields()[fi].abs_error_bound * (1 + 1e-6));
@@ -229,7 +228,6 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
                 from_image.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
     }
-    EXPECT_EQ(streamed.chunk_seconds, from_image.chunk_seconds);
   }
 
   // Range decode: the reader's sequential walk and the scheduler's
@@ -237,9 +235,8 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
   // boundaries and partial edges.
   const std::size_t field = 0;
   const std::uint64_t lo = 3000, hi = 9500;
-  cudasim::SimContext c5, c6;
-  const auto expect = reparsed.decode_range(c5, field, lo, hi);
-  EXPECT_EQ(reader.decode_range(c6, field, lo, hi), expect);
+  const auto expect = reparsed.decode_range(field, lo, hi);
+  EXPECT_EQ(reader.decode_range(field, lo, hi), expect);
   EXPECT_EQ(sched.decode_range(reader, field, lo, hi), expect);
   EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
   EXPECT_THROW(sched.decode_range(reader, field, 10, 1u << 30),
@@ -289,9 +286,8 @@ TEST(Container, MixedCorpusRoundTripsThroughDisk) {
   EXPECT_NO_THROW(parsed.verify());
   ASSERT_EQ(parsed.fields().size(), 3u);
   for (std::size_t fi = 0; fi < 3; ++fi) {
-    cudasim::SimContext c1, c2;
-    const FieldDecode a = image.reader.decode_field(c1, fi);
-    const FieldDecode b = parsed.decode_field(c2, fi);
+    const FieldDecode a = image.reader.decode_field(fi);
+    const FieldDecode b = parsed.decode_field(fi);
     EXPECT_EQ(a.data, b.data) << "field " << fi;
     const auto stats = sz::compute_error_stats(corpus.storage[fi], b.data);
     EXPECT_LE(stats.max_abs_error,
@@ -308,21 +304,18 @@ TEST(Container, RangeDecodeMatchesFullDecode) {
   const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
   const ArchiveReader& reader = image.reader;
   const std::size_t field = reader.field_index("field0");
-  cudasim::SimContext c1, c2;
-  const FieldDecode full = reader.decode_field(c1, field);
+  const FieldDecode full = reader.decode_field(field);
 
   // A range crossing two chunk boundaries (chunks are 4096 elements).
   const std::uint64_t lo = 3000, hi = 9500;
-  const auto range = reader.decode_range(c2, field, lo, hi);
+  const auto range = reader.decode_range(field, lo, hi);
   ASSERT_EQ(range.size(), hi - lo);
   for (std::uint64_t i = 0; i < hi - lo; ++i) {
     ASSERT_EQ(range[i], full.data[lo + i]) << "elem " << lo + i;
   }
 
-  cudasim::SimContext c3;
-  EXPECT_TRUE(reader.decode_range(c3, field, 500, 500).empty());
-  cudasim::SimContext c4;
-  EXPECT_THROW(reader.decode_range(c4, field, 10, 30000), ContainerError);
+  EXPECT_TRUE(reader.decode_range(field, 500, 500).empty());
+  EXPECT_THROW(reader.decode_range(field, 10, 30000), ContainerError);
 }
 
 TEST(Container, CorruptedFrameRejectedWithClearError) {
@@ -385,9 +378,9 @@ TEST(Container, SingleChunkDecodeNeverTouchesOtherFrames) {
 }
 
 TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
-  // The fused chunk-decode entry point must land the same floats (and the
-  // same timings) in a caller buffer slice as decode_chunk returns, for 1-D
-  // (fused sink) and higher-rank (staged copy) fields alike.
+  // The host chunk-decode entry point must land the same floats in a caller
+  // buffer slice as the simulated decode_chunk returns, for 1-D (fused
+  // sink) and higher-rank (staged reconstruct) fields alike.
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(2);
   const OpenImage image(BatchScheduler(pool).compress(corpus.specs));
@@ -397,24 +390,20 @@ TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
     std::vector<float> buffer(entry.dims.count(),
                               -12345.0f);  // poison: every slot must be hit
     for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
-      cudasim::SimContext c1, c2;
       const auto& rec = entry.chunks[ci];
       const std::span<float> dest(buffer.data() + rec.elem_offset,
                                   rec.dims.count());
-      const auto into = reader.decode_chunk_into(c1, field, ci, dest);
-      const auto whole = reader.decode_chunk(c2, field, ci);
-      EXPECT_TRUE(into.data.empty());
-      EXPECT_DOUBLE_EQ(into.total_seconds(), whole.total_seconds());
+      reader.decode_chunk_into(field, ci, dest);
+      cudasim::SimContext ctx;
+      const auto whole = reader.decode_chunk(ctx, field, ci);
       ASSERT_EQ(std::vector<float>(dest.begin(), dest.end()), whole.data)
           << entry.name << " chunk " << ci;
     }
-    cudasim::SimContext c3;
-    EXPECT_EQ(buffer, reader.decode_field(c3, field).data) << entry.name;
+    EXPECT_EQ(buffer, reader.decode_field(field).data) << entry.name;
 
     // A destination sized to the FIELD instead of the chunk is rejected.
-    cudasim::SimContext c4;
     ASSERT_GT(entry.chunks.size(), 1u);
-    EXPECT_THROW(reader.decode_chunk_into(c4, field, 0, buffer),
+    EXPECT_THROW(reader.decode_chunk_into(field, 0, buffer),
                  std::invalid_argument);
   }
 }
@@ -450,9 +439,8 @@ TEST(Container, SharedCodebookArchiveShrinksAndDecodesIdentically) {
   }
   EXPECT_GE(shared_refs, 2u);
   shared_books.reader.verify();
-  cudasim::SimContext c1, c2;
-  const FieldDecode a = private_books.reader.decode_field(c1, 0);
-  const FieldDecode b = shared_books.reader.decode_field(c2, 0);
+  const FieldDecode a = private_books.reader.decode_field(0);
+  const FieldDecode b = shared_books.reader.decode_field(0);
   EXPECT_EQ(a.data, b.data);
   const auto stats = sz::compute_error_stats(data, b.data);
   EXPECT_LE(stats.max_abs_error, shared_field.abs_error_bound * (1 + 1e-6));
@@ -576,8 +564,7 @@ TEST(ArchiveIO, StreamingDecompressNeverMaterializesTheArchive) {
   const std::size_t window = std::max<std::size_t>(2, 2 * range_pool.size());
   EXPECT_GT(reader2.peak_frame_bytes(), 0u);
   EXPECT_LE(reader2.peak_frame_bytes(), window * reader2.max_frame_bytes());
-  cudasim::SimContext range_ctx;
-  EXPECT_EQ(ranged, reader2.decode_field(range_ctx, 0).data);
+  EXPECT_EQ(ranged, reader2.decode_field(0).data);
   std::remove(path.c_str());
 }
 
@@ -822,6 +809,82 @@ TEST(ArchiveReaderFuzz, SingleBitCrcCorruptionIsContainedPerChunk) {
   std::remove(path.c_str());
 }
 
+TEST(ArchiveReaderFuzz, UnassignedPrefixInAResealedFrameIsQuarantined) {
+  // Chunk 1 is all zeros, so its private codebook holds a single 1-bit code
+  // and is incomplete (Kraft sum 1/2, which Codebook::from_lengths accepts).
+  // Its stream's first unit is inverted, so the host decode meets the
+  // unassigned prefix at once, and the frame is re-emitted through a fresh
+  // ArchiveWriter so every CRC is valid around the edit.
+  std::vector<float> data = wavy_field(3 * 1024, 29);
+  std::fill(data.begin() + 1024, data.begin() + 2048, 0.0f);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::SelfSyncOptimized;
+  MemorySink clean_sink;
+  ArchiveWriter clean_writer(clean_sink);
+  clean_writer.add_field("f", data, sz::Dims::d1(data.size()), cfg, 1024);
+  clean_writer.finish();
+  const OpenImage clean(clean_sink.take());
+  const FieldEntry& entry = clean.reader.fields()[0];
+  ASSERT_EQ(entry.chunks.size(), 3u);
+
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  ArchiveFieldSpec spec;
+  spec.name = entry.name;
+  spec.dims = entry.dims;
+  spec.abs_error_bound = entry.abs_error_bound;
+  spec.radius = entry.radius;
+  spec.method = entry.method;
+  writer.begin_field(spec);
+  for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
+    std::vector<std::uint8_t> frame = clean.reader.read_frame(0, ci);
+    if (ci == 1) {
+      sz::CompressedBlob blob = sz::deserialize_blob(frame);
+      ASSERT_EQ(blob.encoded.codebook.symbols_by_code().size(), 1u);
+      auto& units = std::get<huffman::StreamEncoding>(blob.encoded.payload).units;
+      units[0] = ~units[0];
+      frame = sz::serialize_blob(blob);
+    }
+    writer.write_chunk(ChunkExtent{entry.chunks[ci].elem_offset,
+                                   entry.chunks[ci].dims},
+                       frame);
+  }
+  writer.end_field();
+  writer.finish();
+  const OpenImage tampered(sink.take());
+  EXPECT_NO_THROW(tampered.reader.verify());
+
+  const std::vector<float> reference = clean.reader.decode_field(0).data;
+  ThreadPool pool(3);
+  const BatchScheduler sched(pool);
+  // Strict decode: a typed data error, which the server maps to the Archive
+  // wire code.
+  EXPECT_THROW(sched.decompress(tampered.reader), std::invalid_argument);
+  const PartialBatchDecompress partial = sched.decompress_partial(tampered.reader);
+  const PartialFieldDecode sequential = tampered.reader.decode_field_partial(0);
+  for (const FieldReport& fr :
+       {partial.report.fields.at(0), sequential.report}) {
+    ASSERT_EQ(fr.chunks.size(), 3u);
+    EXPECT_EQ(fr.chunks[0].status, ChunkStatus::Ok);
+    EXPECT_EQ(fr.chunks[1].status, ChunkStatus::Corrupt);
+    EXPECT_NE(fr.chunks[1].detail.find("desynchronized"), std::string::npos)
+        << fr.chunks[1].detail;
+    EXPECT_EQ(fr.chunks[2].status, ChunkStatus::Ok);
+    EXPECT_EQ(fr.elems_ok, 2048u);
+  }
+  for (const std::vector<float>* got :
+       {&partial.result.fields.at(0).decode.data, &sequential.values}) {
+    ASSERT_EQ(got->size(), reference.size());
+    EXPECT_EQ(std::memcmp(got->data(), reference.data(), 1024 * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(got->data() + 2048, reference.data() + 2048,
+                          1024 * sizeof(float)),
+              0);
+    EXPECT_TRUE(std::all_of(got->begin() + 1024, got->begin() + 2048,
+                            [](float v) { return v == 0.0f; }));
+  }
+}
+
 TEST(ArchiveReaderFuzz, RandomSingleBitCorruptionNeverCrashes) {
   // Every single-bit flip anywhere in the file must end in a clean parse
   // failure at open, a CRC/frame rejection at decode, or a successful
@@ -887,12 +950,12 @@ TEST(ArchiveReaderFuzz, TrailingGarbageAndLegacyVersionsRejected) {
   }
 }
 
-TEST(ArchiveReaderFuzz, HostileSymbolCountInAResealedFrameIsRejected) {
-  // A frame that declares 2^33 elements and 2^33 Huffman symbols over a few
-  // hundred bytes of codewords, written through ArchiveWriter so the frame
-  // CRC and the index CRC are both valid around it: only the stream parse's
-  // symbols-vs-bits bound stands between the reader and a 2^33-element
-  // output buffer, and it must reject the frame with a typed error.
+/// One field whose single frame is a 600-element SelfSync blob resealed to
+/// declare 2^33 elements and 2^33 Huffman symbols over a few hundred bytes
+/// of codewords, written through ArchiveWriter so the frame CRC and the
+/// index CRC are both valid around it. The index declares `index_elems`
+/// elements for the field and its chunk.
+std::vector<std::uint8_t> hostile_count_archive(std::uint64_t index_elems) {
   const auto data = wavy_field(600, 23);
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
@@ -907,16 +970,22 @@ TEST(ArchiveReaderFuzz, HostileSymbolCountInAResealedFrameIsRejected) {
   ArchiveWriter writer(sink);
   ArchiveFieldSpec spec;
   spec.name = "hostile";
-  spec.dims = blob.dims;
+  spec.dims = sz::Dims::d1(index_elems);
   spec.abs_error_bound = blob.abs_error_bound;
   spec.radius = blob.radius;
   spec.method = cfg.method;
   writer.begin_field(spec);
-  writer.write_chunk(ChunkExtent{0, blob.dims}, frame);
+  writer.write_chunk(ChunkExtent{0, spec.dims}, frame);
   writer.end_field();
   writer.finish();
+  return sink.take();
+}
 
-  const OpenImage image(sink.take());
+TEST(ArchiveReaderFuzz, HostileSymbolCountInAResealedFrameIsRejected) {
+  // The index declares the frame's true 600 elements, so the stream parse's
+  // symbols-vs-bits bound is what stands between either decode and a
+  // 2^33-element buffer, and it must reject the frame with a typed error.
+  const OpenImage image(hostile_count_archive(600));
   EXPECT_NO_THROW(image.reader.verify());  // every CRC checks out
   cudasim::SimContext ctx;
   try {
@@ -924,6 +993,27 @@ TEST(ArchiveReaderFuzz, HostileSymbolCountInAResealedFrameIsRejected) {
     FAIL() << "hostile symbol count accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds the stream's bits"),
+              std::string::npos)
+        << e.what();
+  }
+  std::vector<float> out(600);
+  EXPECT_THROW(image.reader.decode_chunk_into(0, 0, out),
+               std::invalid_argument);
+}
+
+TEST(ArchiveReaderFuzz, HugeDeclaredFieldIsRejectedAtOpen) {
+  // The same frame with an index declaring all 2^33 elements: a frame of B
+  // bytes encodes at most 8 * B one-bit symbols, so the open rejects the
+  // index before any decode could size a 32 GB field buffer from it.
+  const std::vector<std::uint8_t> bytes =
+      hostile_count_archive(std::uint64_t{1} << 33);
+  const MemorySource source(bytes);
+  try {
+    const ArchiveReader reader(source);
+    FAIL() << "2^33-element field in a " << bytes.size()
+           << "-byte archive accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("more elements than its frame"),
               std::string::npos)
         << e.what();
   }
@@ -1202,8 +1292,7 @@ PreambledArchive preambled_archive() {
   const MemorySource source(a.bytes);
   const ArchiveReader reader(source);
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-    cudasim::SimContext ctx;
-    a.reference.push_back(reader.decode_field(ctx, fi).data);
+    a.reference.push_back(reader.decode_field(fi).data);
   }
   return a;
 }
@@ -1248,8 +1337,7 @@ TEST(Salvage, PreamblesFlagTheHeaderAndCostNoStrictReadTraffic) {
   const TrackingSource tracked(memory);
   const ArchiveReader reader(tracked);
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-    cudasim::SimContext ctx;
-    EXPECT_EQ(reader.decode_field(ctx, fi).data, a.reference[fi]);
+    EXPECT_EQ(reader.decode_field(fi).data, a.reference[fi]);
   }
   EXPECT_EQ(tracked.bytes_read(), plain.size());
 
@@ -1311,8 +1399,7 @@ TEST(SalvageFuzz, TruncationAtEveryByteRecoversExactlyTheChunksBeforeTheCut) {
 
     if (cut % 97 != 0 && cut != a.bytes.size()) continue;
     for (std::size_t fi = 0; fi < expect.size(); ++fi) {
-      cudasim::SimContext ctx;
-      const PartialFieldDecode pd = reader.decode_field_partial(ctx, fi);
+      const PartialFieldDecode pd = reader.decode_field_partial(fi);
       std::uint64_t expect_ok = 0;
       for (std::size_t ci : expect[fi]) {
         expect_ok += a.fields[fi].chunks[ci].dims.count();
@@ -1360,8 +1447,7 @@ TEST(SalvageFuzz, RandomBitFlipsNeverSurfaceUnverifiedBytes) {
       }
       if (ref == nullptr) continue;  // the flip landed in a header name
       if (reader.fields()[fi].dims.count() != ref->size()) continue;
-      cudasim::SimContext ctx;
-      const PartialFieldDecode pd = reader.decode_field_partial(ctx, fi);
+      const PartialFieldDecode pd = reader.decode_field_partial(fi);
       for (const ChunkReport& cr : pd.report.chunks) {
         const std::uint64_t count = cr.elem_count > 0
                                         ? cr.elem_count
@@ -1399,10 +1485,9 @@ TEST(Salvage, StrictEntryPointsRejectIncompleteSalvagedFields) {
   EXPECT_TRUE(reader.field_complete(0));
   EXPECT_FALSE(reader.field_complete(1));
 
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference[0]);
-  EXPECT_THROW(reader.decode_field(ctx, 1), ContainerError);
-  EXPECT_THROW(reader.decode_range(ctx, 1, 0, 10), ContainerError);
+  EXPECT_EQ(reader.decode_field(0).data, a.reference[0]);
+  EXPECT_THROW(reader.decode_field(1), ContainerError);
+  EXPECT_THROW(reader.decode_range(1, 0, 10), ContainerError);
   EXPECT_THROW(reader.verify(), ContainerError);
 
   ThreadPool pool(2);
@@ -1451,11 +1536,10 @@ TEST(Salvage, RepairTruncatedRefinalizesTheIntactPrefix) {
   const ArchiveReader reader(source);  // strict open: the repair is valid
   EXPECT_NO_THROW(reader.verify());
   ASSERT_EQ(reader.fields().size(), 2u);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference[0]);
+  EXPECT_EQ(reader.decode_field(0).data, a.reference[0]);
   const std::uint64_t covered = last.elem_offset;
   EXPECT_EQ(reader.fields()[1].dims.count(), covered);
-  const FieldDecode b = reader.decode_field(ctx, 1);
+  const FieldDecode b = reader.decode_field(1);
   ASSERT_EQ(b.data.size(), covered);
   for (std::uint64_t i = 0; i < covered; ++i) {
     ASSERT_EQ(b.data[i], a.reference[1][i]);
@@ -1519,8 +1603,7 @@ TEST(Salvage, PayloadCorruptionKeepsTheStrictIndexAndQuarantinesAtDecode) {
     }
   }
   EXPECT_EQ(corrupt, 1u);
-  cudasim::SimContext ctx;
-  const std::vector<float> ref = parsed.decode_field(ctx, 1).data;
+  const std::vector<float> ref = parsed.decode_field(1).data;
   const std::vector<float>& got = partial.result.fields[1].decode.data;
   ASSERT_EQ(got.size(), ref.size());
   for (std::uint64_t i = 0; i < got.size(); ++i) {

@@ -1,7 +1,8 @@
 // Pipeline determinism: a batch run on N workers must be bit-identical to
-// the sequential run — archive bytes, decoded floats, aggregated
-// PhaseTimings, and the simulated makespan — because all merges are ordered
-// by chunk id and every chunk task owns a fresh SimContext.
+// the sequential run — archive bytes, decoded floats, and the PhaseTimings
+// of the decode-only batch — because all merges are ordered by chunk id; the
+// simulated makespan is a pure function of the per-chunk simulated costs,
+// each from a fresh SimContext.
 #include "pipeline/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "cudasim/timeline.hpp"
 #include "data/generic.hpp"
 #include "util/rng.hpp"
 
@@ -99,15 +101,7 @@ TEST(BatchDeterminism, DecompressIsBitIdenticalAcrossWorkerCounts) {
     for (std::size_t fi = 0; fi < seq.fields.size(); ++fi) {
       EXPECT_EQ(par.fields[fi].decode.data, seq.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
-      expect_phases_identical(par.fields[fi].decode.huffman_phases,
-                              seq.fields[fi].decode.huffman_phases);
-      EXPECT_EQ(par.fields[fi].decode.simulated_seconds,
-                seq.fields[fi].decode.simulated_seconds);
     }
-    expect_phases_identical(par.phases, seq.phases);
-    EXPECT_EQ(par.simulated_seconds, seq.simulated_seconds);
-    EXPECT_EQ(par.chunk_seconds, seq.chunk_seconds);
-    EXPECT_EQ(par.makespan(4), seq.makespan(4));
   }
 }
 
@@ -188,8 +182,6 @@ TEST(BatchDeterminism, PlannedDecompressIsBitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(par.fields[fi].decode.data, seq.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
     }
-    expect_phases_identical(par.phases, seq.phases);
-    EXPECT_EQ(par.chunk_seconds, seq.chunk_seconds);
   }
 }
 
@@ -239,19 +231,29 @@ TEST(BatchDeterminism, MakespanShrinksWithSimulatedWorkers) {
   ThreadPool p4(4);
   BatchScheduler sched(p4);
   const OpenImage image(sched.compress(corpus.specs));
-  const BatchDecompressResult r = sched.decompress(image.reader);
-  ASSERT_GE(r.chunk_seconds.size(), 16u);
+  std::vector<double> chunk_seconds;
+  double simulated_seconds = 0.0;
+  for (std::size_t fi = 0; fi < image.reader.fields().size(); ++fi) {
+    for (std::size_t ci = 0; ci < image.reader.fields()[fi].chunks.size();
+         ++ci) {
+      cudasim::SimContext ctx;
+      const double s =
+          image.reader.decode_chunk(ctx, fi, ci).total_seconds();
+      chunk_seconds.push_back(s);
+      simulated_seconds += s;
+    }
+  }
+  ASSERT_GE(chunk_seconds.size(), 16u);
 
-  const double ms1 = r.makespan(1);
-  const double ms4 = r.makespan(4);
-  // Same chunks, different summation grouping (per-chunk vs per-field).
-  EXPECT_DOUBLE_EQ(ms1, r.simulated_seconds);
+  const double ms1 = cudasim::makespan(chunk_seconds, 1);
+  const double ms4 = cudasim::makespan(chunk_seconds, 4);
+  EXPECT_DOUBLE_EQ(ms1, simulated_seconds);
   EXPECT_GE(ms1 / ms4, 2.0);
   // The makespan can never beat the critical path or perfect speedup.
   double longest = 0.0;
-  for (double s : r.chunk_seconds) longest = std::max(longest, s);
+  for (double s : chunk_seconds) longest = std::max(longest, s);
   EXPECT_GE(ms4, longest);
-  EXPECT_GE(ms4, r.simulated_seconds / 4.0 * (1 - 1e-12));
+  EXPECT_GE(ms4, simulated_seconds / 4.0 * (1 - 1e-12));
 }
 
 }  // namespace

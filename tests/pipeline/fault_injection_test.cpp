@@ -63,8 +63,7 @@ TestArchive test_archive() {
   a.bytes = sink.take();
   const MemorySource source(a.bytes);
   const ArchiveReader reader(source);
-  cudasim::SimContext ctx;
-  a.reference = reader.decode_field(ctx, 0).data;
+  a.reference = reader.decode_field(0).data;
   return a;
 }
 
@@ -222,8 +221,7 @@ TEST(ArchiveReaderRetry, ConvergesUnderBoundedTransientFaults) {
   ReaderOptions opts;
   opts.retry.max_attempts = 16;
   const ArchiveReader reader(faulty, opts);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference);
+  EXPECT_EQ(reader.decode_field(0).data, a.reference);
   EXPECT_NO_THROW(reader.verify());
   EXPECT_GT(reader.io_retries(), 0u);
   EXPECT_GT(faulty.stats().faults(), 0u);
@@ -300,8 +298,7 @@ TEST(CrashConsistency, AtomicFileSinkPublishesAllOrNothing) {
   // The published archive is complete and valid.
   const FileSource source(path);
   const ArchiveReader reader(source);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference);
+  EXPECT_EQ(reader.decode_field(0).data, a.reference);
   std::remove(path.c_str());
 }
 
@@ -379,8 +376,7 @@ TEST(CrashConsistency, TornFileSessionRepairsIntoAValidArchive) {
   const ArchiveReader reader(source);
   EXPECT_NO_THROW(reader.verify());
   if (!reader.fields().empty()) {
-    cudasim::SimContext ctx;
-    const FieldDecode d = reader.decode_field(ctx, 0);
+    const FieldDecode d = reader.decode_field(0);
     ASSERT_LE(d.data.size(), a.reference.size());
     for (std::size_t i = 0; i < d.data.size(); ++i) {
       ASSERT_EQ(d.data[i], a.reference[i]);

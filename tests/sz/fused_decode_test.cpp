@@ -1,7 +1,7 @@
-// Fused decode→dequantize→reconstruct write path: float-for-float identical
-// to the staged pipeline (decode to a quant-code vector, then
-// lorenzo_reconstruct), across methods, ranks, outlier densities, and both
-// decompress entry points.
+// Host decode (sz::fused_decode_reconstruct): float-for-float identical to
+// the simulated decompress, whose staged lorenzo_reconstruct is the
+// reference, across methods, ranks, outlier densities, and both simulated
+// entry points.
 #include <cmath>
 #include <vector>
 
@@ -37,20 +37,19 @@ TEST(FusedDecodeWrite, MatchesStagedReconstructBitForBit) {
   const auto blob = compress(data, Dims::d1(data.size()), cfg);
   ASSERT_FALSE(blob.outliers.empty());  // the corpus must exercise outliers
 
-  core::DecoderConfig fused;
-  ASSERT_TRUE(fused.use_fused_write);  // documented default
-  core::DecoderConfig staged;
-  staged.use_fused_write = false;
-
-  cudasim::SimContext ctx_a, ctx_b;
-  const auto a = decompress(ctx_a, blob, fused);
-  const auto b = decompress(ctx_b, blob, staged);
-  ASSERT_EQ(a.data.size(), b.data.size());
-  for (std::size_t i = 0; i < a.data.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << i;  // exact, not approximate
+  // The simulated decompress reconstructs through the staged
+  // lorenzo_reconstruct; the host path streams codes through the 1-D sink.
+  cudasim::SimContext ctx;
+  const auto simulated = decompress(ctx, blob);
+  std::vector<float> host(data.size());
+  fused_decode_reconstruct(blob, host);
+  ASSERT_EQ(host.size(), simulated.data.size());
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    ASSERT_EQ(host[i], simulated.data[i]) << i;  // exact, not approximate
   }
-  // The write path must not change the simulated timings.
-  EXPECT_DOUBLE_EQ(a.total_seconds(), b.total_seconds());
+  // Both match the reconstruction straight from the quantizer's codes.
+  EXPECT_EQ(host, lorenzo_reconstruct(lorenzo_quantize(
+                      data, blob.dims, blob.abs_error_bound, blob.radius)));
 }
 
 TEST(FusedDecodeWrite, DecompressIntoMatchesDecompress) {
@@ -93,24 +92,18 @@ TEST(FusedDecodeWrite, HostFusedPathMatchesSimulatedDecode) {
 TEST(FusedDecodeWrite, HigherRankBlobsUseTheStagedPathIdentically) {
   const auto data = spiky_field(128 * 96, 11);
   CompressorConfig cfg;
-  const auto blob = compress(data, Dims::d2(128, 96), cfg);
-
-  core::DecoderConfig fused;          // fused flag on, but rank 2 => staged
-  core::DecoderConfig staged;
-  staged.use_fused_write = false;
-  cudasim::SimContext ctx_a, ctx_b;
-  const auto a = decompress(ctx_a, blob, fused);
-  const auto b = decompress(ctx_b, blob, staged);
-  EXPECT_EQ(a.data, b.data);
-
-  // decompress_into works for rank 2 too (via the staged copy)...
-  std::vector<float> dest(data.size());
-  cudasim::SimContext ctx_c;
-  decompress_into(ctx_c, blob, dest);
-  EXPECT_EQ(dest, a.data);
-  // ...but the host-only fused sink is 1-D by contract.
-  std::vector<float> host(data.size());
-  EXPECT_THROW(fused_decode_reconstruct(blob, host), std::invalid_argument);
+  for (const Dims& dims : {Dims::d2(128, 96), Dims::d3(32, 24, 16)}) {
+    const auto blob = compress(data, dims, cfg);
+    cudasim::SimContext ctx_a, ctx_b;
+    const auto simulated = decompress(ctx_a, blob);
+    std::vector<float> dest(data.size());
+    decompress_into(ctx_b, blob, dest);
+    EXPECT_EQ(dest, simulated.data) << "rank " << dims.rank;
+    // The host decode stages the codes for lorenzo_reconstruct at rank 2/3.
+    std::vector<float> host(data.size());
+    fused_decode_reconstruct(blob, host);
+    EXPECT_EQ(host, simulated.data) << "rank " << dims.rank;
+  }
 }
 
 TEST(FusedDecodeWrite, AllOutlierChunkReconstructs) {
