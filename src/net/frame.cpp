@@ -21,15 +21,15 @@ constexpr std::uint32_t kMaxFields = 1u << 16;
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
-                                       std::span<const std::uint8_t> payload) {
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    const FrameHeader& header, std::span<const std::uint8_t> payload) {
   // Pin the fields the parser requires to be 0 outside their frame type, so
   // encode_frame(h, p) with any default-constructed leftovers always yields
   // a frame the strict parser accepts.
   const bool is_request = header.type == FrameType::Request;
   const bool has_op = is_request || header.type == FrameType::Response;
   util::ByteWriter w;
-  w.reserve(kFrameHeaderBytes + payload.size());
+  w.reserve(kFrameHeaderBytes);
   w.magic(kFrameMagic);
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(header.type));
@@ -40,8 +40,19 @@ std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
   w.u64(payload.size());
   w.u32(util::crc32(payload));
   w.u32(util::crc32(w.bytes()));  // header CRC over bytes [0, 36)
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::array<std::uint8_t, kFrameHeaderBytes> out;
+  std::memcpy(out.data(), w.bytes().data(), kFrameHeaderBytes);
+  return out;
+}
+
+std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
+                                       std::span<const std::uint8_t> payload) {
+  const auto head = encode_frame_header(header, payload);
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + payload.size());
+  std::memcpy(out.data(), head.data(), kFrameHeaderBytes);
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  }
   return out;
 }
 
@@ -267,6 +278,13 @@ service::CompressJob read_compress_job(util::ByteReader& r) {
 }
 
 void write_decompress_result(util::ByteWriter& w, const DecompressBody& body) {
+  // Sized up front: a response carries every decoded float of an archive,
+  // and growing the writer by doubling would copy it several times over.
+  std::size_t bytes = 4;
+  for (const DecompressedField& f : body.fields) {
+    bytes += 8 + f.name.size() + 8 + f.data.size() * sizeof(float);
+  }
+  w.reserve(w.size() + bytes);
   w.u32(static_cast<std::uint32_t>(body.fields.size()));
   for (const DecompressedField& f : body.fields) {
     write_string(w, f.name);

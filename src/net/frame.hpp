@@ -23,6 +23,7 @@
 // "reject" is one catchable type at every call site.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -129,8 +130,15 @@ struct FrameHeader {
   std::uint32_t payload_crc = 0;
 };
 
-/// Serializes header + payload into one contiguous frame image. Computes
-/// both CRCs; `header.payload_len`/`payload_crc` inputs are ignored.
+/// Serializes the 40-byte header of the frame carrying `payload`. Computes
+/// both CRCs; `header.payload_len`/`payload_crc` inputs are ignored. Writing
+/// these bytes and then `payload` puts the same frame on a stream as
+/// encode_frame, without copying the payload into a frame image.
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    const FrameHeader& header, std::span<const std::uint8_t> payload);
+
+/// Serializes header + payload into one contiguous frame image
+/// (encode_frame_header followed by the payload bytes).
 std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
                                        std::span<const std::uint8_t> payload);
 

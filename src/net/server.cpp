@@ -602,20 +602,25 @@ void ServiceServer::completer_loop(const std::shared_ptr<Connection>& conn) {
 
 void ServiceServer::send_frame(Connection& c, const FrameHeader& header,
                                std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(header, payload);
+  // Header and payload go out as two writes under one lock: a response
+  // payload can hold a whole decoded archive, and copying it into a
+  // contiguous frame image would double its memory on every request.
+  const auto head = encode_frame_header(header, payload);
   {
     std::lock_guard<std::mutex> lock(c.write_mutex);
     try {
-      c.sink.write(frame);
+      c.sink.write(head);
+      if (!payload.empty()) c.sink.write(payload);
     } catch (const pipeline::ArchiveError& e) {
       throw ConnectionLost(e.what());
     }
   }
+  const std::uint64_t frame_bytes = head.size() + payload.size();
   frames_out_.add(1);
-  bytes_out_.add(frame.size());
+  bytes_out_.add(frame_bytes);
   if (obs::enabled()) {
     net_metrics().frames_out.add(1);
-    net_metrics().bytes_out.add(frame.size());
+    net_metrics().bytes_out.add(frame_bytes);
   }
 }
 

@@ -92,6 +92,22 @@ TEST(Frame, ErrorFrameAllowsIdZero) {
   EXPECT_EQ(read_error(r).message, "nope");
 }
 
+TEST(Frame, HeaderThenPayloadIsTheFrame) {
+  FrameHeader response;
+  response.type = FrameType::Response;
+  response.op = RequestOp::Decompress;
+  response.request_id = 11;
+  for (const FrameHeader& h : {request_header(), response}) {
+    for (const std::size_t n : {0u, 1u, 4096u}) {
+      const auto payload = some_payload(n);
+      const auto head = encode_frame_header(h, payload);
+      std::vector<std::uint8_t> streamed(head.begin(), head.end());
+      streamed.insert(streamed.end(), payload.begin(), payload.end());
+      EXPECT_EQ(streamed, encode_frame(h, payload)) << "payload " << n;
+    }
+  }
+}
+
 // ---- strict parser reject matrix ------------------------------------------
 
 TEST(Frame, RejectsTruncatedHeader) {
